@@ -1,59 +1,42 @@
 """kannanlab: exact-arithmetic laboratory for Kannan-type contractive maps.
 
 Everything numeric in verdicts is an exact rational; floats appear only
-in rendering.  See README for the tour.
+in rendering.  See README for the tour.  The package root exports the
+names the README, the demos and the tests use; everything else is
+imported from its module.
 """
 
-from .rationals import Scalar, as_scalar, compare, lt_sqrt, parse_scalar, scalar_text
-from .spaces import (ClosureError, FiniteSpace, GornickiNat, HalfLineUsual,
-                     MembershipError, ReciprocalSet, Space, SplitSet,
-                     UnitIntervalRight, dist, load_space, split_set_sample,
+from .rationals import lt_sqrt
+from .spaces import (FiniteSpace, GornickiNat, HalfLineUsual, MembershipError,
+                     SplitSet, UnitIntervalRight, split_set_sample,
                      verify_metric_axioms)
-from .maps import (Custom, CycleDetected, FixedPointReached, Orbit,
-                   PiecewiseDrop, Scale, SelfMap, StairScale, TableMap,
-                   TripleNat, Truncated, apply, load_map, orbit,
-                   orbit_cluster_probe)
-from .conditions import (EXHAUSTIVE, ChenYeh, Condition, ConditionReport,
-                         Exhaustive, Fisher, IteratedKannan, KannanK, Khan,
-                         SampleSet, StrictKannan, Violated,
+from .maps import (PiecewiseDrop, Scale, StairScale, TableMap, TripleNat,
+                   orbit, orbit_cluster_probe)
+from .conditions import (ChenYeh, Fisher, KannanK, Khan, StrictKannan,
                          check_epsdelta_orbit, evaluate_condition,
-                         kannan_ratio, load_condition, pairs_from_points,
-                         replay_violation, sample_pairs)
-from .picard import (FixedPointCheck, PicardRun, orbit_trace_csv, run_picard,
-                     uniqueness_probe, verify_fixed_point)
-from .completeness import (ConstructedMap, CounterexampleReport,
-                           GornickiAnswerReport, IncompleteWitness,
-                           build_reciprocal_witness,
+                         kannan_ratio, load_condition, sample_pairs)
+from .picard import (orbit_trace_csv, run_picard, uniqueness_probe,
+                     verify_fixed_point)
+from .completeness import (build_reciprocal_witness,
                            construct_counterexample_map, scan_fixed_point_free,
-                           spot_check_witness, verify_counterexample,
-                           verify_gornicki_answer)
-from .census import (CensusRow, TheoremContradictionError, TightnessReport,
-                     census_csv, enumerate_census, khan_float_crosscheck,
-                     map_from_id, map_id_string, random_finite_space,
-                     tightness_scan)
+                           verify_counterexample, verify_gornicki_answer)
+from .census import (census_csv, enumerate_census, khan_float_crosscheck,
+                     map_from_id, random_finite_space, tightness_scan)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Scalar", "as_scalar", "compare", "lt_sqrt", "parse_scalar", "scalar_text",
-    "ClosureError", "FiniteSpace", "GornickiNat", "HalfLineUsual",
-    "MembershipError", "ReciprocalSet", "Space", "SplitSet",
-    "UnitIntervalRight", "dist", "load_space", "split_set_sample",
-    "verify_metric_axioms",
-    "Custom", "CycleDetected", "FixedPointReached", "Orbit", "PiecewiseDrop",
-    "Scale", "SelfMap", "StairScale", "TableMap", "TripleNat", "Truncated",
-    "apply", "load_map", "orbit", "orbit_cluster_probe",
-    "EXHAUSTIVE", "ChenYeh", "Condition", "ConditionReport", "Exhaustive",
-    "Fisher", "IteratedKannan", "KannanK", "Khan", "SampleSet", "StrictKannan",
-    "Violated", "check_epsdelta_orbit", "evaluate_condition", "kannan_ratio",
-    "load_condition", "pairs_from_points", "replay_violation", "sample_pairs",
-    "FixedPointCheck", "PicardRun", "orbit_trace_csv", "run_picard",
-    "uniqueness_probe", "verify_fixed_point",
-    "ConstructedMap", "CounterexampleReport", "GornickiAnswerReport",
-    "IncompleteWitness", "build_reciprocal_witness",
-    "construct_counterexample_map", "scan_fixed_point_free",
-    "spot_check_witness", "verify_counterexample", "verify_gornicki_answer",
-    "CensusRow", "TheoremContradictionError", "TightnessReport", "census_csv",
-    "enumerate_census", "khan_float_crosscheck", "map_from_id",
-    "map_id_string", "random_finite_space", "tightness_scan",
+    "lt_sqrt",
+    "FiniteSpace", "GornickiNat", "HalfLineUsual", "MembershipError",
+    "SplitSet", "UnitIntervalRight", "split_set_sample", "verify_metric_axioms",
+    "PiecewiseDrop", "Scale", "StairScale", "TableMap", "TripleNat", "orbit",
+    "orbit_cluster_probe",
+    "ChenYeh", "Fisher", "KannanK", "Khan", "StrictKannan",
+    "check_epsdelta_orbit", "evaluate_condition", "kannan_ratio",
+    "load_condition", "sample_pairs",
+    "orbit_trace_csv", "run_picard", "uniqueness_probe", "verify_fixed_point",
+    "build_reciprocal_witness", "construct_counterexample_map",
+    "scan_fixed_point_free", "verify_counterexample", "verify_gornicki_answer",
+    "census_csv", "enumerate_census", "khan_float_crosscheck", "map_from_id",
+    "random_finite_space", "tightness_scan",
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,13 +32,9 @@ from .conditions import (EXHAUSTIVE, Condition, StrictKannan,
                          evaluate_condition)
 from .maps import FixedPointReached, TableMap, orbit
 from .rationals import lt_sqrt
-from .spaces import FiniteSpace
+from .spaces import FiniteSpace, TheoremContradictionError
 
 MAX_CENSUS_MAPS = 10 ** 7
-
-
-class TheoremContradictionError(RuntimeError):
-    """Brute force contradicted a theorem: the implementation is defective."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,33 +136,21 @@ def _check_row_against_theorems(row: CensusRow, conditions: Sequence[Condition])
     only mean the implementation is broken.
     """
     verdicts = dict(row.satisfies)
+    count = row.fixed_point_count
     for cond in conditions:
         if not verdicts.get(cond.label()):
             continue
-        kind = cond.kind
-        if kind in ("strict_kannan", "kannan_k", "iterated_kannan"):
-            # unique fixed point and globally convergent iteration
-            if (row.fixed_point_count != 1
-                    or not row.picard_converges_from_all_starts
-                    or row.common_limit is None):
-                raise TheoremContradictionError(
-                    f"map {row.map_id} satisfies {cond.label()} exhaustively "
-                    f"but has {row.fixed_point_count} fixed points, "
-                    f"converges={row.picard_converges_from_all_starts}")
-        elif kind in ("fisher", "khan"):
-            # existence on a compact space; two fixed points would make the
-            # pair inequality compare a positive value against itself or 0
-            if row.fixed_point_count != 1:
-                raise TheoremContradictionError(
-                    f"map {row.map_id} satisfies {cond.label()} but has "
-                    f"{row.fixed_point_count} fixed points")
-        elif kind == "chen_yeh":
-            need_unique = getattr(cond, "uniqueness_bounds", False)
-            if row.fixed_point_count < 1 or (need_unique
-                                             and row.fixed_point_count != 1):
-                raise TheoremContradictionError(
-                    f"map {row.map_id} satisfies {cond.label()} but has "
-                    f"{row.fixed_point_count} fixed points")
+        if cond.picard_converges and (count != 1
+                                      or not row.picard_converges_from_all_starts
+                                      or row.common_limit is None):
+            raise TheoremContradictionError(
+                f"map {row.map_id} satisfies {cond.label()} exhaustively "
+                f"but has {count} fixed points, "
+                f"converges={row.picard_converges_from_all_starts}")
+        if count < 1 or (cond.unique_fixed_point and count != 1):
+            raise TheoremContradictionError(
+                f"map {row.map_id} satisfies {cond.label()} but has "
+                f"{count} fixed points")
 
 
 def _classify_range(args) -> list[CensusRow]:
@@ -193,7 +178,9 @@ def enumerate_census(space: FiniteSpace,
     if total > MAX_CENSUS_MAPS:
         raise ValueError(f"{n}^{n} = {total} self-maps exceeds the census cap")
     conditions = tuple(conditions)
-    if workers <= 1:
+    # a chunk holds at least one map, so there are at most ``total`` chunks
+    workers = pool_size(workers, os.cpu_count(), total)
+    if workers == 1:
         return _classify_range((space, conditions, 0, total, check_theorems))
     chunk = -(-total // (workers * 4))
     ranges = [(space, conditions, lo, min(lo + chunk, total), check_theorems)
@@ -201,6 +188,14 @@ def enumerate_census(space: FiniteSpace,
     with Pool(workers) as pool:
         parts = pool.map(_classify_range, ranges)
     return [row for part in parts for row in part]
+
+
+def pool_size(workers: int, cpus: Optional[int], chunks: int) -> int:
+    """Processes worth starting: at most one per CPU and one per chunk, at least 1.
+
+    ``cpus`` is ``os.cpu_count()``, which may be None (then 1 is assumed).
+    """
+    return max(1, min(workers, cpus or 1, chunks))
 
 
 def census_csv(rows: Sequence[CensusRow],
@@ -250,11 +245,11 @@ def tightness_scan(space: FiniteSpace) -> TightnessReport:
             continue
         satisfying += 1
         for x, y in space.distinct_pairs():
-            tx, ty = tm.apply(x), tm.apply(y)
-            s = space.dist(x, tx) + space.dist(y, ty)
+            tx, ty = tm._apply(x), tm._apply(y)
+            s = space._dist(x, tx) + space._dist(y, ty)
             if s == 0:
                 continue
-            ratio = 2 * space.dist(tx, ty) / s
+            ratio = 2 * space._dist(tx, ty) / s
             if best is None or ratio > best:
                 best, best_map = ratio, map_id_string(map_id, space.size)
                 best_pair = (x, y)
@@ -290,9 +285,9 @@ def khan_float_crosscheck(space: FiniteSpace,
     for map_id in range(space.size ** space.size):
         tm = map_from_id(space, map_id)
         for x, y in pairs:
-            tx, ty = tm.apply(x), tm.apply(y)
-            lhs = space.dist(tx, ty)
-            u = space.dist(x, tx) * space.dist(y, ty)
+            tx, ty = tm._apply(x), tm._apply(y)
+            lhs = space._dist(tx, ty)
+            u = space._dist(x, tx) * space._dist(y, ty)
             exact = lt_sqrt(lhs, u)
             lhs_f = _longdouble(lhs)
             root_f = np.sqrt(_longdouble(u))

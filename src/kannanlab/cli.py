@@ -9,7 +9,7 @@ contract for scripting:
     1  a verdict differed from the expectation (--expect, gallery items)
     2  configuration/parse error
     3  membership or closure error (a point outside its space)
-    4  theorem contradiction from the brute-force oracle (defect, loud)
+    4  theorem contradiction from the oracle or a cross-check (defect, loud)
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ import numpy as np
 
 from .conditions import ConditionReport, StrictKannan, evaluate_condition, sample_pairs
 from .maps import SelfMap, TripleNat
-from .spaces import GornickiNat, ReciprocalSet, Space
+from .spaces import GornickiNat, ReciprocalSet, Space, TheoremContradictionError
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,8 @@ def spot_check_witness(w: IncompleteWitness, prefix: int, window: int = 2) -> bo
     terms = [w.term(n) for n in range(1, window * prefix + 1)]
     if len(set(terms)) != len(terms):
         return False
-    d = w.space.dist
+    terms = [w.space.check_member(t) for t in terms]
+    d = w.space._dist
     for n in range(1, prefix + 1):
         glb = w.gap_lower_bound(n)
         if glb <= 0:
@@ -261,6 +262,8 @@ def scan_fixed_point_free(cm: ConstructedMap, count: int) -> bool:
     Uses the index rule directly (target index != source index plus
     distinctness of terms), so large counts stay cheap.
     """
+    if count < 1:
+        raise ValueError("scan count must be >= 1")
     w = cm.witness
     terms = [w.term(n) for n in range(1, count + 1)]
     if len(set(terms)) != len(terms):
@@ -302,12 +305,6 @@ class GornickiAnswerReport:
                 "ok": self.ok}
 
 
-# int64 is exact below 2^63; with all intermediates bounded by
-# (3N^2 + 2N) * 3N^2 after gcd reduction, N <= 30000 keeps every product
-# under 2^62.  Larger N falls back to the pure-integer loop.
-_VECTOR_SAFE_N = 30_000
-
-
 def verify_gornicki_answer(n: int, cross_check: Optional[int] = None) -> GornickiAnswerReport:
     """Exhaustively verify the fixed-point-free gallery map up to n.
 
@@ -320,16 +317,14 @@ def verify_gornicki_answer(n: int, cross_check: Optional[int] = None) -> Gornick
     * d(x,y) > 1 (so Cauchy sequences must be eventually constant),
 
     and that no x <= n is fixed by T.  The bulk scan runs on int64
-    vectors (exact in this range); a deterministic subsample is
-    cross-checked against the Fraction-based space metric, pair by pair.
+    vectors up to ``_VECTOR_SAFE_N`` (exact there) and on Fractions
+    beyond; a deterministic subsample is cross-checked against the
+    Fraction-based space metric, pair by pair.
     """
     if n < 2:
         raise ValueError("need n >= 2 for at least one pair")
-    if n <= _VECTOR_SAFE_N:
-        result = _scan_pairs_int64(n)
-    else:
-        result = _scan_pairs_python(n)
-    pairs_checked, forms_ok, strict_ok, dist_ok, first_violation = result
+    row = _scan_row_int64 if n <= _VECTOR_SAFE_N else _scan_row_python
+    pairs_checked, forms_ok, strict_ok, dist_ok, first_violation = _scan_pairs(n, row)
 
     fixed_point_free = all(3 * x != x for x in range(1, n + 1))
 
@@ -346,86 +341,105 @@ def verify_gornicki_answer(n: int, cross_check: Optional[int] = None) -> Gornick
                                 first_violation=first_violation)
 
 
+_CHECKS = ("closed_form", "strict", "distance")
+
+
+def _scan_pairs(n: int, row):
+    """Run a row body over x = 1..n-1 and merge its findings.
+
+    Returns (pairs, forms_ok, strict_ok, dist_ok, first_violation), where
+    first_violation is (x, y, check) for the first failing row, its first
+    failing check in ``_CHECKS`` order, and that check's first failing y.
+    """
+    failed = set()
+    first_violation = None
+    for x in range(1, n):
+        for name, y in zip(_CHECKS, row(x, n)):
+            if y is not None:
+                failed.add(name)
+                if first_violation is None:
+                    first_violation = (x, y, name)
+    return (n * (n - 1) // 2, "closed_form" not in failed,
+            "strict" not in failed, "distance" not in failed, first_violation)
+
+
 def _reduced(num, den):
     g = np.gcd(num, den)
     return num // g, den // g
 
 
-def _scan_pairs_int64(n: int):
-    pairs = 0
-    forms_ok = strict_ok = dist_ok = True
-    first_violation = None
+def _scan_row_int64(x: int, n: int) -> list:
+    """The row x < y <= n on int64 vectors: the first failing y per check, or None.
 
-    for x in range(1, n):
-        y = np.arange(x + 1, n + 1, dtype=np.int64)
-        xx = np.int64(x)
-        delta = np.abs(y - xx)
+    Exact only while no intermediate overflows; see ``_VECTOR_SAFE_N``.
+    """
+    y = np.arange(x + 1, n + 1, dtype=np.int64)
+    xx = np.int64(x)
+    delta = np.abs(y - xx)
 
-        # d(Tx,Ty) via the metric: (TxTy + |Ty - Tx|) / (TxTy), Tx = 3x
-        num_l, den_l = _reduced(9 * xx * y + 3 * delta, 9 * xx * y)
-        # closed form 1 + 1/(3x) - 1/(3y) = (3xy + y - x) / (3xy)
-        num_lc, den_lc = _reduced(3 * xx * y + y - xx, 3 * xx * y)
+    # d(Tx,Ty) via the metric: (TxTy + |Ty - Tx|) / (TxTy), Tx = 3x
+    num_l, den_l = _reduced(9 * xx * y + 3 * delta, 9 * xx * y)
+    # closed form 1 + 1/(3x) - 1/(3y) = (3xy + y - x) / (3xy)
+    num_lc, den_lc = _reduced(3 * xx * y + y - xx, 3 * xx * y)
 
-        # (d(x,Tx) + d(y,Ty)) / 2 via the metric, summed as exact fractions
-        num_a, den_a = 3 * xx * xx + 2 * xx, 3 * xx * xx
-        num_b, den_b = 3 * y * y + 2 * y, 3 * y * y
-        num_r, den_r = _reduced(num_a * den_b + num_b * den_a, 2 * den_a * den_b)
-        # closed form 1 + 1/(3x) + 1/(3y) = (3xy + x + y) / (3xy)
-        num_rc, den_rc = _reduced(3 * xx * y + xx + y, 3 * xx * y)
+    # (d(x,Tx) + d(y,Ty)) / 2 via the metric, summed as exact fractions
+    num_a, den_a = 3 * xx * xx + 2 * xx, 3 * xx * xx
+    num_b, den_b = 3 * y * y + 2 * y, 3 * y * y
+    num_r, den_r = _reduced(num_a * den_b + num_b * den_a, 2 * den_a * den_b)
+    # closed form 1 + 1/(3x) + 1/(3y) = (3xy + x + y) / (3xy)
+    num_rc, den_rc = _reduced(3 * xx * y + xx + y, 3 * xx * y)
 
-        lhs_match = (num_l == num_lc) & (den_l == den_lc)
-        rhs_match = (num_r == num_rc) & (den_r == den_rc)
-        strict = num_l * den_r < num_r * den_l
-        # d(x,y) > 1  <=>  (xy + |y-x|) / (xy) > 1
-        gt_one = delta > 0
-
-        pairs += len(y)
-        for name, mask in (("closed_form", lhs_match & rhs_match),
-                           ("strict", strict), ("distance", gt_one)):
-            if not bool(np.all(mask)):
-                bad = int(np.argmin(mask))
-                if first_violation is None:
-                    first_violation = (x, int(y[bad]), name)
-                if name == "closed_form":
-                    forms_ok = False
-                elif name == "strict":
-                    strict_ok = False
-                else:
-                    dist_ok = False
-    return pairs, forms_ok, strict_ok, dist_ok, first_violation
+    lhs_match = (num_l == num_lc) & (den_l == den_lc)
+    rhs_match = (num_r == num_rc) & (den_r == den_rc)
+    strict = num_l * den_r < num_r * den_l
+    # d(x,y) > 1  <=>  (xy + |y-x|) / (xy) > 1
+    masks = (lhs_match & rhs_match, strict, delta > 0)
+    return [None if mask.all() else int(y[np.argmin(mask)]) for mask in masks]
 
 
-def _scan_pairs_python(n: int):
-    pairs = 0
-    forms_ok = strict_ok = dist_ok = True
-    first_violation = None
-    for x in range(1, n):
-        for y in range(x + 1, n + 1):
-            pairs += 1
-            lhs = Fraction(9 * x * y + 3 * abs(y - x), 9 * x * y)
-            rhs = (Fraction(3 * x * x + 2 * x, 3 * x * x)
-                   + Fraction(3 * y * y + 2 * y, 3 * y * y)) / 2
-            ok_forms = (lhs == Fraction(3 * x * y + y - x, 3 * x * y)
-                        and rhs == Fraction(3 * x * y + x + y, 3 * x * y))
-            ok_strict = lhs < rhs
-            ok_dist = abs(y - x) > 0
-            if not (ok_forms and ok_strict and ok_dist):
-                if first_violation is None:
-                    kind = ("closed_form" if not ok_forms
-                            else "strict" if not ok_strict else "distance")
-                    first_violation = (x, y, kind)
-                forms_ok &= ok_forms
-                strict_ok &= ok_strict
-                dist_ok &= ok_dist
-    return pairs, forms_ok, strict_ok, dist_ok, first_violation
+def _scan_row_python(x: int, n: int) -> list:
+    """The same row in Fraction arithmetic, exact at every size."""
+    first = [None, None, None]
+    for y in range(x + 1, n + 1):
+        lhs = Fraction(9 * x * y + 3 * abs(y - x), 9 * x * y)
+        rhs = (Fraction(3 * x * x + 2 * x, 3 * x * x)
+               + Fraction(3 * y * y + 2 * y, 3 * y * y)) / 2
+        oks = (lhs == Fraction(3 * x * y + y - x, 3 * x * y)
+               and rhs == Fraction(3 * x * y + x + y, 3 * x * y),
+               lhs < rhs, abs(y - x) > 0)
+        for i, ok in enumerate(oks):
+            if not ok and first[i] is None:
+                first[i] = y
+    return first
+
+
+def _largest_intermediate(n: int) -> int:
+    """The largest value ``_scan_row_int64`` forms for pairs up to n, exactly.
+
+    It is the unreduced numerator of (d(x,Tx) + d(y,Ty)) / 2,
+    num_a*den_b + num_b*den_a = (3x^2+2x)*3y^2 + (3y^2+2y)*3x^2
+    = 18x^2y^2 + 6xy(x + y), which grows in x and y and so peaks at the
+    last pair x = n-1, y = n.  Every other value is smaller:
+    2*den_a*den_b = 18x^2y^2, and the gcd-reduced fractions compared in
+    ``strict`` have denominators dividing 3xy and numerators at most
+    3xy + x + y <= 5xy, so their cross products stay under 15x^2y^2.
+    """
+    x, y = n - 1, n
+    return (3 * x * x + 2 * x) * 3 * y * y + (3 * y * y + 2 * y) * 3 * x * x
+
+
+# The largest n whose int64 scan is exact: 26,755.  Beyond it the largest
+# intermediate passes 2^63 - 1 and the Fraction row body runs instead.
+_VECTOR_SAFE_N = _least_index(
+    lambda n: _largest_intermediate(n) > np.iinfo(np.int64).max, start=2) - 1
 
 
 def _cross_check_fraction(n: int, budget: int) -> int:
     """Re-derive a deterministic pair subsample through the Fraction metric.
 
     An independent route: distances come from the space object, the map
-    images from TripleNat.apply, all in Fraction arithmetic; a mismatch
-    with the integer scan raises AssertionError.
+    images from TripleNat, all in Fraction arithmetic; a disagreement
+    with the closed forms raises TheoremContradictionError.
     """
     space = GornickiNat()
     t = TripleNat(space)
@@ -436,20 +450,20 @@ def _cross_check_fraction(n: int, budget: int) -> int:
     else:
         per_axis = max(2, int(budget ** 0.5))
         step = max(1, (n - 1) // per_axis)
-        xs = list(range(1, n, step))
-        sample = []
-        for x in xs:
-            for y in range(x + 1, n + 1, step):
-                sample.append((x, y))
-        sample += [(1, 2), (1, n), (n - 1, n)]
-        sample = sorted(set(sample))
+        sample = [(x, y) for x in range(1, n, step)
+                  for y in range(x + 1, n + 1, step)]
+        sample = sorted(set(sample + [(1, 2), (1, n), (n - 1, n)]))
+    values = sorted({v for pair in sample for v in pair})
+    point = {v: space.check_member(v) for v in values}
+    image = {v: t._apply(p) for v, p in point.items()}
+    d = space._dist
     for x, y in sample:
-        fx, fy = Fraction(x), Fraction(y)
-        tx, ty = t.apply(fx), t.apply(fy)
-        lhs = space.dist(tx, ty)
-        rhs = (space.dist(fx, tx) + space.dist(fy, ty)) / 2
-        assert lhs == 1 + Fraction(1, 3 * x) - Fraction(1, 3 * y), (x, y)
-        assert rhs == 1 + Fraction(1, 3 * x) + Fraction(1, 3 * y), (x, y)
-        assert lhs < rhs, (x, y)
-        assert space.dist(fx, fy) > 1, (x, y)
+        fx, fy, tx, ty = point[x], point[y], image[x], image[y]
+        lhs = d(tx, ty)
+        rhs = (d(fx, tx) + d(fy, ty)) / 2
+        if not (lhs == 1 + Fraction(1, 3 * x) - Fraction(1, 3 * y)
+                and rhs == 1 + Fraction(1, 3 * x) + Fraction(1, 3 * y)
+                and lhs < rhs and d(fx, fy) > 1):
+            raise TheoremContradictionError(
+                f"the Fraction metric disagrees with the closed forms at ({x}, {y})")
     return len(sample)

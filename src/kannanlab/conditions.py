@@ -28,18 +28,48 @@ from .spaces import FiniteSpace, Space, point_text
 # Condition kinds
 # ---------------------------------------------------------------------------
 
+class Condition:
+    """Base of the condition catalog: one exact verdict per pair.
+
+    ``verdict(d, image, x, y)`` decides the pair of distinct canonical
+    members x, y from the unchecked distance ``d`` and the closure-checked
+    ``image``.  It returns (holds, lhs, rhs): rhs is the exact bound when
+    that is rational, otherwise a function rendering it, which is called
+    only when a violation is reported.
+
+    Each condition also declares its theorem's conclusion on a finite
+    (hence compact and complete) space: a map satisfying it on every pair
+    has a fixed point, exactly one when ``unique_fixed_point``, and Picard
+    iteration reaches it from every start when ``picard_converges``.
+    """
+
+    kind: str
+    unique_fixed_point = True
+    picard_converges = False
+
+    def label(self) -> str:
+        return self.kind
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind}
+
+    def verdict(self, d, image, x, y):
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class KannanK:
+class KannanK(Condition):
     """d(Tx,Ty) <= k * (d(x,Tx) + d(y,Ty)) with a fixed k in [0, 1/2)."""
 
     k: Fraction
+
+    kind = "kannan_k"
+    picard_converges = True
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_scalar(self.k))
         if not (0 <= self.k < HALF):
             raise ValueError(f"Kannan constant must lie in [0, 1/2), got {self.k}")
-
-    kind = "kannan_k"
 
     def label(self) -> str:
         return f"kannan_k({self.k})"
@@ -47,9 +77,15 @@ class KannanK:
     def to_json(self) -> dict:
         return {"kind": "kannan_k", "k": str(self.k)}
 
+    def verdict(self, d, image, x, y):
+        tx, ty = image(x), image(y)
+        lhs = d(tx, ty)
+        rhs = self.k * (d(x, tx) + d(y, ty))
+        return lhs <= rhs, lhs, rhs
+
 
 @dataclass(frozen=True)
-class StrictKannan:
+class StrictKannan(Condition):
     """d(Tx,Ty) < (d(x,Tx) + d(y,Ty)) / 2 for all x != y; no constant.
 
     The central condition of the lab: parameterless, satisfied by maps
@@ -58,29 +94,30 @@ class StrictKannan:
     """
 
     kind = "strict_kannan"
+    picard_converges = True
 
-    def label(self) -> str:
-        return "strict_kannan"
-
-    def to_json(self) -> dict:
-        return {"kind": "strict_kannan"}
+    def verdict(self, d, image, x, y):
+        tx, ty = image(x), image(y)
+        lhs = d(tx, ty)
+        rhs = (d(x, tx) + d(y, ty)) / 2
+        return lhs < rhs, lhs, rhs
 
 
 @dataclass(frozen=True)
-class Fisher:
+class Fisher(Condition):
     """d(Tx,Ty) < (d(x,Ty) + d(y,Tx)) / 2 for all x != y."""
 
     kind = "fisher"
 
-    def label(self) -> str:
-        return "fisher"
-
-    def to_json(self) -> dict:
-        return {"kind": "fisher"}
+    def verdict(self, d, image, x, y):
+        tx, ty = image(x), image(y)
+        lhs = d(tx, ty)
+        rhs = (d(x, ty) + d(y, tx)) / 2
+        return lhs < rhs, lhs, rhs
 
 
 @dataclass(frozen=True)
-class Khan:
+class Khan(Condition):
     """d(Tx,Ty) < sqrt(d(x,Tx) * d(y,Ty)) for all x != y.
 
     The root is never materialized; the verdict comes from lt_sqrt.
@@ -88,18 +125,18 @@ class Khan:
 
     kind = "khan"
 
-    def label(self) -> str:
-        return "khan"
-
-    def to_json(self) -> dict:
-        return {"kind": "khan"}
+    def verdict(self, d, image, x, y):
+        tx, ty = image(x), image(y)
+        lhs = d(tx, ty)
+        u = d(x, tx) * d(y, ty)
+        return lt_sqrt(lhs, u), lhs, lambda: f"sqrt({scalar_text(u)})"
 
 
 PairTable = Union[Fraction, Mapping[tuple, Fraction]]
 
 
 @dataclass(frozen=True)
-class ChenYeh:
+class ChenYeh(Condition):
     """d(Tx,Ty) < max of seven terms mixing all six distances.
 
     The terms are d(x,y); the Kannan mean (d(x,Tx)+d(y,Ty))/2; the Fisher
@@ -134,6 +171,10 @@ class ChenYeh:
                     raise ValueError(f"ChenYeh {name} must be non-negative")
                 object.__setattr__(self, name, value)
 
+    @property
+    def unique_fixed_point(self) -> bool:
+        return self.uniqueness_bounds
+
     def weight(self, name: str, x, y) -> Fraction:
         table = getattr(self, name)
         if isinstance(table, Mapping):
@@ -164,9 +205,44 @@ class ChenYeh:
                 out[name] = str(table)
         return out
 
+    def verdict(self, d, image, x, y):
+        tx, ty = image(x), image(y)
+        dxy = d(x, y)
+        dxtx, dyty = d(x, tx), d(y, ty)
+        dxty, dytx = d(x, ty), d(y, tx)
+        a, b = self.weight("a", x, y), self.weight("b", x, y)
+        if self.uniqueness_bounds:
+            if a * dxy > 1:
+                raise ValueError(f"uniqueness bound a <= 1/d(x,y) fails at "
+                                 f"({point_text(x)}, {point_text(y)})")
+            if b > 1:
+                raise ValueError(f"uniqueness bound b <= 1 fails at "
+                                 f"({point_text(x)}, {point_text(y)})")
+        lhs = d(tx, ty)
+        rational_terms = [
+            dxy,
+            (dxtx + dyty) / 2,
+            (dxty + dytx) / 2,
+            dxtx * dyty / dxy,  # well-defined: pair points are distinct
+            a * dxty * dytx,
+        ]
+        holds = any(lhs < t for t in rational_terms)
+        # sqrt terms, decided by squaring: lhs < max(terms) iff lhs < some term
+        if not holds:
+            holds = lt_sqrt(lhs, dxtx * dyty)
+        if not holds and b > 0:
+            holds = lt_sqrt(lhs / b, dxty * dytx)
+
+        def rhs_text():
+            return ("max(" + ", ".join(scalar_text(t) for t in rational_terms[:4])
+                    + f", sqrt({scalar_text(dxtx * dyty)})"
+                    + f", {scalar_text(rational_terms[4])}"
+                    + f", {scalar_text(b)}*sqrt({scalar_text(dxty * dytx)}))")
+        return holds, lhs, rhs_text
+
 
 @dataclass(frozen=True)
-class IteratedKannan:
+class IteratedKannan(Condition):
     """The strict Kannan inequality shifted m steps along the orbit:
 
     d(T^{m+1}x, T^{m+1}y) < (d(T^m x, T^{m+1}x) + d(T^m y, T^{m+1}y)) / 2.
@@ -177,6 +253,7 @@ class IteratedKannan:
     m: int
 
     kind = "iterated_kannan"
+    picard_converges = True
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 0:
@@ -188,8 +265,13 @@ class IteratedKannan:
     def to_json(self) -> dict:
         return {"kind": "iterated_kannan", "m": self.m}
 
-
-Condition = Union[KannanK, StrictKannan, Fisher, Khan, ChenYeh, IteratedKannan]
+    def verdict(self, d, image, x, y):
+        image(x), image(y)  # the pair's own images come first, as in every condition
+        for _ in range(self.m):
+            x = image(x)
+        for _ in range(self.m):
+            y = image(y)
+        return StrictKannan().verdict(d, image, x, y)
 
 
 def load_condition(obj: dict) -> Condition:
@@ -309,76 +391,43 @@ class ConditionReport:
 # The checker
 # ---------------------------------------------------------------------------
 
-def _check_pair(cond: Condition, space: Space, m: SelfMap, x, y):
-    """Exact verdict for one ordered pair.
+# The types of canonical points: rationals on catalog spaces, labels on
+# finite spaces.  A point of any other type (an int, a float, a bool) is
+# always checked, even when it equals a point checked before.
+_CANONICAL = (Fraction, str)
 
-    Returns (holds, lhs, rhs, rhs_text) with rhs None when the bound is
-    irrational (sqrt terms) or a max over mixed terms.
+
+def _checked_once(space: Space, m: SelfMap, known: Sequence = ()):
+    """(member, image) for one scan: each distinct point checked once.
+
+    ``member`` membership-checks a caller's point unless it is a canonical
+    point already checked or ``known`` (the space's own labels, on an
+    exhaustive scan); ``image`` computes and closure-checks each distinct
+    image once.  Both run lazily, in the order the scan asks, so the first
+    error a caller sees is the one checking every use would raise.
     """
-    tx, ty = m.apply(x), m.apply(y)
-    d = space.dist
+    members = set(known)
+    images = {}
 
-    if isinstance(cond, KannanK):
-        lhs = d(tx, ty)
-        rhs = cond.k * (d(x, tx) + d(y, ty))
-        return lhs <= rhs, lhs, rhs, scalar_text(rhs)
+    def member(p):
+        if type(p) not in _CANONICAL or p not in members:
+            p = space.check_member(p)
+            members.add(p)
+        return p
 
-    if isinstance(cond, StrictKannan):
-        lhs = d(tx, ty)
-        rhs = (d(x, tx) + d(y, ty)) / 2
-        return lhs < rhs, lhs, rhs, scalar_text(rhs)
+    def image(p):
+        img = images.get(p)
+        if img is None:
+            img = images[p] = m._apply(p)
+        return img
 
-    if isinstance(cond, Fisher):
-        lhs = d(tx, ty)
-        rhs = (d(x, ty) + d(y, tx)) / 2
-        return lhs < rhs, lhs, rhs, scalar_text(rhs)
+    return member, image
 
-    if isinstance(cond, Khan):
-        lhs = d(tx, ty)
-        u = d(x, tx) * d(y, ty)
-        return lt_sqrt(lhs, u), lhs, None, f"sqrt({scalar_text(u)})"
 
-    if isinstance(cond, IteratedKannan):
-        xm = m.iterate(x, cond.m)
-        ym = m.iterate(y, cond.m)
-        xm1, ym1 = m.apply(xm), m.apply(ym)
-        lhs = d(xm1, ym1)
-        rhs = (d(xm, xm1) + d(ym, ym1)) / 2
-        return lhs < rhs, lhs, rhs, scalar_text(rhs)
-
-    if isinstance(cond, ChenYeh):
-        dxy = d(x, y)
-        dxtx, dyty = d(x, tx), d(y, ty)
-        dxty, dytx = d(x, ty), d(y, tx)
-        a, b = cond.weight("a", x, y), cond.weight("b", x, y)
-        if cond.uniqueness_bounds:
-            if a * dxy > 1:
-                raise ValueError(f"uniqueness bound a <= 1/d(x,y) fails at "
-                                 f"({point_text(x)}, {point_text(y)})")
-            if b > 1:
-                raise ValueError(f"uniqueness bound b <= 1 fails at "
-                                 f"({point_text(x)}, {point_text(y)})")
-        lhs = d(tx, ty)
-        rational_terms = [
-            dxy,
-            (dxtx + dyty) / 2,
-            (dxty + dytx) / 2,
-            dxtx * dyty / dxy,  # well-defined: pair points are distinct
-            a * dxty * dytx,
-        ]
-        holds = any(lhs < t for t in rational_terms)
-        # sqrt terms, decided by squaring: lhs < max(terms) iff lhs < some term
-        if not holds:
-            holds = lt_sqrt(lhs, dxtx * dyty)
-        if not holds and b > 0:
-            holds = lt_sqrt(lhs / b, dxty * dytx)
-        rhs_text = ("max(" + ", ".join(scalar_text(t) for t in rational_terms[:4])
-                    + f", sqrt({scalar_text(dxtx * dyty)})"
-                    + f", {scalar_text(rational_terms[4])}"
-                    + f", {scalar_text(b)}*sqrt({scalar_text(dxty * dytx)}))")
-        return holds, lhs, None, rhs_text
-
-    raise TypeError(f"unknown condition {cond!r}")
+def _violated(x, y, lhs, rhs) -> Violated:
+    if callable(rhs):
+        return Violated(x, y, lhs, None, rhs())
+    return Violated(x, y, lhs, rhs, scalar_text(rhs))
 
 
 def evaluate_condition(cond: Condition, space: Space, m: SelfMap,
@@ -391,18 +440,19 @@ def evaluate_condition(cond: Condition, space: Space, m: SelfMap,
     if space != m.space:
         raise ValueError("condition check: space does not match the map's space")
     pair_list, source_desc, exhausted = _resolve_pairs(space, pairs)
+    member, image = _checked_once(space, m, space.labels if exhausted else ())
+    d = space._dist
     checked = 0
-    for raw_x, raw_y in pair_list:
-        x = space.check_member(raw_x)
-        y = space.check_member(raw_y)
+    for x, y in pair_list:
+        x, y = member(x), member(y)
         if x == y:
             raise ValueError(f"pair points must be distinct, got "
                              f"({point_text(x)}, {point_text(y)})")
         checked += 1
-        holds, lhs, rhs, rhs_text = _check_pair(cond, space, m, x, y)
+        holds, lhs, rhs = cond.verdict(d, image, x, y)
         if not holds:
             return ConditionReport(cond, source_desc, checked,
-                                   Violated(x, y, lhs, rhs, rhs_text), exhausted)
+                                   _violated(x, y, lhs, rhs), exhausted)
     return ConditionReport(cond, source_desc, checked, None, exhausted)
 
 
@@ -411,7 +461,9 @@ def replay_violation(report: ConditionReport, space: Space, m: SelfMap) -> bool:
     if report.violation is None:
         raise ValueError("report has no violation to replay")
     v = report.violation
-    holds, lhs, _, _ = _check_pair(report.condition, space, m, v.x, v.y)
+    member, image = _checked_once(space, m)
+    holds, lhs, _ = report.condition.verdict(space._dist, image,
+                                             member(v.x), member(v.y))
     return (not holds) and lhs == v.lhs
 
 
@@ -422,15 +474,17 @@ def kannan_ratio(space: Space, m: SelfMap,
     The smallest admissible Kannan constant on the checked pairs; None when
     every pair has zero total displacement.
     """
-    pair_list, _, _ = _resolve_pairs(space, pairs)
+    pair_list, _, exhausted = _resolve_pairs(space, pairs)
+    member, image = _checked_once(space, m, space.labels if exhausted else ())
+    d = space._dist
     best: Optional[Fraction] = None
     for x, y in pair_list:
-        x, y = space.check_member(x), space.check_member(y)
-        tx, ty = m.apply(x), m.apply(y)
-        s = space.dist(x, tx) + space.dist(y, ty)
+        x, y = member(x), member(y)
+        tx, ty = image(x), image(y)
+        s = d(x, tx) + d(y, ty)
         if s == 0:
             continue
-        ratio = space.dist(tx, ty) / s
+        ratio = d(tx, ty) / s
         if best is None or ratio > best:
             best = ratio
     return best
@@ -506,11 +560,11 @@ def check_epsdelta_orbit(space: Space, m: SelfMap, x0,
     x0 = space.check_member(x0)
     pts = [x0]
     for _ in range(horizon + 1):
-        pts.append(m.apply(pts[-1]))
+        pts.append(m._apply(pts[-1]))
     dmat = {}
     for i in range(horizon + 2):
         for j in range(i + 1, horizon + 2):
-            dmat[(i, j)] = space.dist(pts[i], pts[j])
+            dmat[(i, j)] = space._dist(pts[i], pts[j])
 
     reports = []
     for eps in eps_grid:

@@ -1,9 +1,13 @@
 """Self-mappings on the lab's spaces, and exact orbit generation.
 
-Maps are bound to their space.  ``apply`` membership-checks the input and
-the image: an image escaping the space raises :class:`ClosureError`, which
-signals a misconfigured map (typically a bad Custom rule), never a rounding
-artifact, because all arithmetic is exact.
+Maps are bound to their space.  The public ``apply`` membership-checks its
+input; the ``_apply`` behind it takes a point already checked and
+closure-checks the image: an image escaping the space raises
+:class:`ClosureError`, which signals a misconfigured map (typically a bad
+Custom rule), never a rounding artifact, because all arithmetic is exact.
+A :class:`TableMap` proves its closure at construction, so its
+``_apply`` is a plain lookup.  Scans call ``_apply`` once per distinct
+point they have checked.
 
 Orbits terminate on an exact fixed point (consecutive gap exactly 0), an
 exact recurrence (cycle), or the horizon.  There is deliberately no
@@ -34,7 +38,10 @@ class SelfMap:
 
     def apply(self, p):
         """Exact image of p, membership-checked on both sides."""
-        p = self.space.check_member(p)
+        return self._apply(self.space.check_member(p))
+
+    def _apply(self, p):
+        """Exact image of a canonical member p; only the image is checked."""
         img = self._image(p)
         try:
             return self.space.check_member(img)
@@ -42,12 +49,6 @@ class SelfMap:
             raise ClosureError(
                 f"{self.kind} maps {point_text(p)} to {point_text(img)}, "
                 f"outside {self.space.kind}") from None
-
-    def iterate(self, p, times: int):
-        """T^times applied to p (times >= 0)."""
-        for _ in range(times):
-            p = self.apply(p)
-        return p
 
     def to_json(self) -> dict:
         return {"kind": self.kind}
@@ -72,8 +73,8 @@ class TableMap(SelfMap):
             if img not in self.space.labels:
                 raise ClosureError(f"table image {img!r} not in space")
 
-    def _image(self, p):
-        return self.assign[p]
+    def _apply(self, p):
+        return self.assign[p]  # closure proved in __post_init__
 
     def to_json(self) -> dict:
         return {"kind": "table", "assign": dict(sorted(self.assign.items()))}
@@ -160,11 +161,6 @@ class Custom(SelfMap):
         return self.rule(p)
 
 
-def apply(m: SelfMap, p):
-    """Module-level alias for m.apply(p)."""
-    return m.apply(p)
-
-
 # ---------------------------------------------------------------------------
 # Orbits
 # ---------------------------------------------------------------------------
@@ -216,8 +212,8 @@ def orbit(m: SelfMap, x0, horizon: int) -> Orbit:
     seen = {x0: 0}
     status = None
     for _ in range(horizon):
-        nxt = m.apply(points[-1])
-        gaps.append(m.space.dist(points[-1], nxt))
+        nxt = m._apply(points[-1])
+        gaps.append(m.space._dist(points[-1], nxt))
         points.append(nxt)
         if gaps[-1] == 0:
             status = FixedPointReached(at=len(points) - 2)

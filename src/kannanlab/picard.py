@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .rationals import scalar_text
 from .maps import FixedPointReached, Orbit, SelfMap, Truncated, orbit
-from .spaces import Space, point_text
+from .spaces import Space, TheoremContradictionError, point_text
 
 MAX_HORIZON = 512  # pairwise bound check is O(horizon^2); desk scale only
 
@@ -81,7 +81,7 @@ def run_picard(space: Space, m: SelfMap, x0, horizon: int = 64) -> PicardRun:
     last = len(pts) - 1
     for n in range(1, last + 1):
         for mm in range(n + 1, last + 1):
-            if space.dist(pts[n], pts[mm]) * 2 >= gaps[n - 1] + gaps[mm - 1]:
+            if space._dist(pts[n], pts[mm]) * 2 >= gaps[n - 1] + gaps[mm - 1]:
                 pairwise_bound_ok = False
                 break
         if not pairwise_bound_ok:
@@ -90,12 +90,15 @@ def run_picard(space: Space, m: SelfMap, x0, horizon: int = 64) -> PicardRun:
     fixed_point = None
     if isinstance(o.status, FixedPointReached):
         fixed_point = pts[-1]
-        assert m.apply(fixed_point) == fixed_point
+        if m._apply(fixed_point) != fixed_point:
+            raise TheoremContradictionError(
+                f"orbit stopped at {point_text(fixed_point)}, "
+                f"which {m.kind} does not fix")
 
     tail = pts[-max(2, -(-len(pts) // 4)):] if len(pts) >= 2 else []
     cauchy_evidence = None
     if tail:
-        cauchy_evidence = max(space.dist(tail[i], tail[j])
+        cauchy_evidence = max(space._dist(tail[i], tail[j])
                               for i in range(len(tail))
                               for j in range(i + 1, len(tail)))
 
@@ -119,7 +122,7 @@ class FixedPointCheck:
 def verify_fixed_point(space: Space, m: SelfMap, z) -> FixedPointCheck:
     """Exact residual d(z, Tz) and the exact-zero verdict."""
     z = space.check_member(z)
-    residual = space.dist(z, m.apply(z))
+    residual = space._dist(z, m._apply(z))
     return FixedPointCheck(is_fixed=residual == 0, residual=residual)
 
 
@@ -129,15 +132,17 @@ def uniqueness_probe(space: Space, m: SelfMap, candidates: Sequence) -> list:
     Two distinct fixed points z, z* make the strict Kannan inequality
     impossible on that pair (left side d(z,z*) > 0 against a zero bound),
     so whenever the condition holds on the candidate pairs the returned
-    list has length <= 1; this is asserted via the checker itself.
+    list has length <= 1; the checker itself confirms this, and a strict
+    verdict on two fixed points raises :class:`TheoremContradictionError`.
     """
     from .conditions import StrictKannan, evaluate_condition, sample_pairs
 
     found = [z for z in (space.check_member(c) for c in candidates)
-             if space.dist(z, m.apply(z)) == 0]
-    if len(found) >= 2:
-        report = evaluate_condition(StrictKannan(), space, m, sample_pairs(found))
-        assert not report.holds, "two exact fixed points cannot satisfy the strict condition"
+             if space._dist(z, m._apply(z)) == 0]
+    if len(found) >= 2 and evaluate_condition(StrictKannan(), space, m,
+                                              sample_pairs(found)).holds:
+        raise TheoremContradictionError(
+            "two exact fixed points cannot satisfy the strict condition")
     return found
 
 

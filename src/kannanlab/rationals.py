@@ -1,11 +1,12 @@
 """Exact rational scalars and the comparison tricks the lab is built on.
 
-Everything numeric in the core is a :class:`fractions.Fraction` (aliased
-``Scalar``): arbitrary-precision integers over a positive denominator,
-always in lowest terms, with exact arithmetic.  The contractive conditions
-checked elsewhere are *strict* inequalities, so no floating point is
-allowed anywhere near a verdict.  Floats appear only in report rendering,
-via :func:`approx_text`, and are always labelled approximate.
+Everything numeric in the core is a :class:`fractions.Fraction` (a
+"Scalar" in this package): arbitrary-precision integers over a positive
+denominator, always in lowest terms, with exact arithmetic.  The
+contractive conditions checked elsewhere are *strict* inequalities, so no
+floating point is allowed anywhere near a verdict.  Floats appear only in
+report rendering, via :func:`approx_text`, and are always labelled
+approximate.
 
 The one non-rational quantity the lab ever meets is a square root
 (geometric-mean contractive terms).  ``lt_sqrt`` decides ``a < sqrt(u)``
@@ -16,10 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Scalar = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -56,20 +53,6 @@ def scalar_text(x: Fraction) -> str:
 def approx_text(x: Fraction, digits: int = 6) -> str:
     """Rendering-only decimal approximation, explicitly marked as such."""
     return f"{float(x):.{digits}g}"
-
-
-def compare(a, b) -> int:
-    """Exact trichotomy: -1 if a < b, 0 if a == b, +1 if a > b.
-
-    Fraction comparison cross-multiplies integers, so no rounding can occur.
-    """
-    a = as_scalar(a)
-    b = as_scalar(b)
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 def lt_sqrt(a, u) -> bool:

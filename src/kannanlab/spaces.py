@@ -1,9 +1,11 @@
 """Metric spaces of the lab: a finite-matrix form plus a small catalog.
 
 Points are plain values: exact rationals (:class:`fractions.Fraction`) on
-the catalog spaces, string labels on finite spaces.  Every operation that
-takes points validates membership and raises :class:`MembershipError`
-otherwise, so a point can never silently be used outside its space.
+the catalog spaces, string labels on finite spaces.  Membership is
+validated once, at the boundary: :meth:`Space.check_member` and the public
+:meth:`Space.dist` raise :class:`MembershipError` for a point outside the
+space.  Behind ``dist`` sits the unchecked ``_dist``, which scans call on
+points they have already checked, each distinct point once.
 
 Completeness / compactness style flags are *declared* metadata: they are
 analytic facts about each catalog space, recorded on the class, never
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 from typing import Optional, Sequence
 
 from .rationals import as_scalar, scalar_text
@@ -25,6 +28,10 @@ class MembershipError(ValueError):
 
 class ClosureError(ValueError):
     """A self-map produced an image outside its own space."""
+
+
+class TheoremContradictionError(RuntimeError):
+    """A verdict contradicted a proved theorem: the implementation is defective."""
 
 
 def point_text(p) -> str:
@@ -66,45 +73,22 @@ def verify_metric_axioms(labels: Sequence[str], matrix: Sequence[Sequence]) -> M
     if len(d) != n or any(len(row) != n for row in d):
         raise ValueError(f"distance matrix must be {n}x{n}")
 
-    symmetry_ok = identity_ok = positivity_ok = triangle_ok = True
-    first: Optional[tuple[str, tuple[str, ...]]] = None
-
-    def note(axiom: str, witness: tuple[str, ...], flag: str):
-        nonlocal first, symmetry_ok, identity_ok, positivity_ok, triangle_ok
-        if flag == "symmetry":
-            symmetry_ok = False
-        elif flag == "identity":
-            identity_ok = False
-        elif flag == "positivity":
-            positivity_ok = False
-        else:
-            triangle_ok = False
-        if first is None:
-            first = (axiom, witness)
-
-    for i in range(n):
-        if d[i][i] != 0:
-            note("identity", (labels[i],), "identity")
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if d[i][j] != d[j][i]:
-                note("symmetry", (labels[i], labels[j]), "symmetry")
-            if d[i][j] <= 0:
-                note("positivity", (labels[i], labels[j]), "positivity")
+    # every failing check, in scan order
+    failures = [("identity", (labels[i],)) for i in range(n) if d[i][i] != 0]
+    for i, j in permutations(range(n), 2):
+        if d[i][j] != d[j][i]:
+            failures.append(("symmetry", (labels[i], labels[j])))
+        if d[i][j] <= 0:
+            failures.append(("positivity", (labels[i], labels[j])))
     # Distinct ordered triples suffice: repeats reduce to the axioms above.
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i == j or j == k or i == k:
-                    continue
-                if d[i][k] > d[i][j] + d[j][k]:
-                    note("triangle", (labels[i], labels[j], labels[k]), "triangle")
-
-    passed = symmetry_ok and identity_ok and positivity_ok and triangle_ok
-    return MetricAxiomReport(passed, symmetry_ok, identity_ok, positivity_ok,
-                             triangle_ok, first)
+    failures += [("triangle", (labels[i], labels[j], labels[k]))
+                 for i, j, k in permutations(range(n), 3)
+                 if d[i][k] > d[i][j] + d[j][k]]
+    failed = {axiom for axiom, _ in failures}
+    return MetricAxiomReport(not failures, "symmetry" not in failed,
+                             "identity" not in failed, "positivity" not in failed,
+                             "triangle" not in failed,
+                             failures[0] if failures else None)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +124,11 @@ class Space:
         return q
 
     def dist(self, p, q) -> Fraction:
+        """Exact distance between two points, both membership-checked."""
+        return self._dist(self.check_member(p), self.check_member(q))
+
+    def _dist(self, p, q) -> Fraction:
+        """Exact distance between two canonical members (not checked)."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -149,9 +138,7 @@ class Space:
 class _UsualMetric(Space):
     """Subsets of the rationals with the usual metric |x - y|."""
 
-    def dist(self, p, q) -> Fraction:
-        p = self.check_member(p)
-        q = self.check_member(q)
+    def _dist(self, p, q) -> Fraction:
         return abs(p - q)
 
 
@@ -234,9 +221,7 @@ class GornickiNat(Space):
     def contains(self, p) -> bool:
         return p.denominator == 1 and p >= 1
 
-    def dist(self, p, q) -> Fraction:
-        p = self.check_member(p)
-        q = self.check_member(q)
+    def _dist(self, p, q) -> Fraction:
         if p == q:
             return Fraction(0)
         return 1 + abs(Fraction(1, int(p)) - Fraction(1, int(q)))
@@ -284,12 +269,7 @@ class FiniteSpace(Space):
     def contains(self, p) -> bool:
         return p in self._index
 
-    def index_of(self, label: str) -> int:
-        return self._index[label]
-
-    def dist(self, p, q) -> Fraction:
-        p = self.check_member(p)
-        q = self.check_member(q)
+    def _dist(self, p, q) -> Fraction:
         return self.matrix[self._index[p]][self._index[q]]
 
     def axiom_report(self) -> MetricAxiomReport:
@@ -304,11 +284,6 @@ class FiniteSpace(Space):
         return {"kind": "finite",
                 "labels": list(self.labels),
                 "d": [[scalar_text(v) for v in row] for row in self.matrix]}
-
-
-def dist(space: Space, p, q) -> Fraction:
-    """Exact distance between two members of ``space``."""
-    return space.dist(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +329,3 @@ def split_set_sample(count: int = 200) -> list[Fraction]:
     pts += [1 + Fraction(k, den) for k in range(1, interior + 1)]
     pts.append(Fraction(2))
     return pts
-
-
-def gornicki_distance_bounds(n: int) -> bool:
-    """Exhaustively confirm 1 < d(x,y) <= 2 for all distinct x, y <= n.
-
-    A metric bounded below by 1 on distinct points admits no Cauchy
-    sequence other than the eventually constant ones.
-    """
-    space = GornickiNat()
-    for x in range(1, n + 1):
-        for y in range(x + 1, n + 1):
-            d = space.dist(x, y)
-            if not (1 < d <= 2):
-                return False
-    return True

@@ -175,3 +175,32 @@ def test_khan_float_crosscheck_small_spaces():
         compared, skipped, mismatches = khan_float_crosscheck(sp)
         assert mismatches == []
         assert compared > 0
+
+
+def test_chen_yeh_conclusion_depends_on_uniqueness_bounds():
+    from kannanlab.census import CensusRow, _check_row_against_theorems
+    label = ChenYeh(F(0), F(0)).label()
+    two_fixed = CensusRow(map_id="01", satisfies=((label, True),),
+                          fixed_point_count=2,
+                          picard_converges_from_all_starts=True,
+                          common_limit=None)
+    _check_row_against_theorems(two_fixed, [ChenYeh(F(0), F(0))])
+    with pytest.raises(TheoremContradictionError):
+        _check_row_against_theorems(
+            two_fixed, [ChenYeh(F(0), F(0), uniqueness_bounds=True)])
+    no_fixed = CensusRow(map_id="10", satisfies=((label, True),),
+                         fixed_point_count=0,
+                         picard_converges_from_all_starts=False,
+                         common_limit=None)
+    with pytest.raises(TheoremContradictionError):
+        _check_row_against_theorems(no_fixed, [ChenYeh(F(0), F(0))])
+
+
+def test_pool_size_is_bounded_by_cpus_and_chunks():
+    from kannanlab.census import pool_size
+    assert pool_size(10 ** 6, 2, 46_656) == 2
+    assert pool_size(8, 16, 4) == 4
+    assert pool_size(2, 2, 46_656) == 2
+    assert pool_size(3, None, 100) == 1
+    for workers in (1, 0, -5):
+        assert pool_size(workers, 8, 100) == 1

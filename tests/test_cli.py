@@ -150,3 +150,10 @@ def test_exhaustive_pairs_rejected_on_infinite_space():
                    "--condition", '{"kind": "strict_kannan"}')
     assert proc.returncode == 2
     assert "sample" in proc.stderr
+
+
+def test_counterexample_scan_below_one_is_config_error():
+    proc = run_cli("counterexample", "--prefix", "5", "--scan", "-5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "count must be >= 1" in proc.stderr

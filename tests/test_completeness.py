@@ -1,18 +1,21 @@
 """Witness bounds, the constructed tail map, and the exhaustive gallery checks."""
 
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from kannanlab.completeness import (_scan_pairs_python, build_reciprocal_witness,
+from kannanlab.completeness import (_VECTOR_SAFE_N, _largest_intermediate,
+                                    _scan_pairs, _scan_row_int64,
+                                    _scan_row_python, build_reciprocal_witness,
                                     construct_counterexample_map,
                                     scan_fixed_point_free, spot_check_witness,
                                     verify_counterexample,
                                     verify_gornicki_answer)
-from kannanlab.completeness import _scan_pairs_int64
 from kannanlab.conditions import StrictKannan, evaluate_condition
 from kannanlab.maps import TripleNat
-from kannanlab.spaces import GornickiNat, ReciprocalSet
+from kannanlab.spaces import GornickiNat, ReciprocalSet, TheoremContradictionError
 
 
 def test_reciprocal_witness_bounds():
@@ -142,7 +145,9 @@ def test_gornicki_answer_matches_condition_checker():
 
 
 def test_gornicki_answer_int64_and_python_scans_agree():
-    assert _scan_pairs_int64(60) == _scan_pairs_python(60)
+    assert all(_scan_row_int64(x, 60) == _scan_row_python(x, 60)
+               for x in range(1, 60))
+    assert _scan_pairs(60, _scan_row_int64) == _scan_pairs(60, _scan_row_python)
 
 
 def test_gornicki_answer_report_fields():
@@ -155,3 +160,56 @@ def test_gornicki_answer_report_fields():
     assert js["ok"] is True and js["n"] == 50
     with pytest.raises(ValueError):
         verify_gornicki_answer(1)
+
+
+def test_int64_bound_is_derived_at_its_edge():
+    # the largest intermediate fits in int64 at the bound and not beyond
+    limit = 2 ** 63 - 1
+    assert _largest_intermediate(_VECTOR_SAFE_N) <= limit
+    assert _largest_intermediate(_VECTOR_SAFE_N + 1) > limit
+    assert _VECTOR_SAFE_N == 26_755
+
+
+def test_int64_last_row_is_exact_at_the_bound_and_overflows_past_it():
+    # only the last row, which holds the largest intermediate: the full
+    # scan at this size would be ~3.6e8 pairs
+    n = _VECTOR_SAFE_N
+    assert _scan_row_int64(n - 1, n) == [None, None, None]
+    assert _scan_row_python(n, n + 1) == [None, None, None]
+    # one past the bound the int64 row reports a spurious violation, which
+    # is why verify_gornicki_answer switches to the Fraction row there
+    assert _scan_row_int64(n, n + 1) != [None, None, None]
+
+
+def test_scan_reports_the_first_violation_of_a_row_body():
+    def row(x, n):  # a defective row body: strict fails at y = 5 of row 3
+        return [None, 5, None] if x == 3 else [None, None, None]
+    assert _scan_pairs(6, row) == (15, True, False, True, (3, 5, "strict"))
+
+
+def test_cross_check_raises_on_a_wrong_distance(monkeypatch):
+    # drops the "1 +" of the metric, as a defective distance would
+    monkeypatch.setattr(GornickiNat, "_dist", lambda self, p, q: abs(1 / p - 1 / q))
+    with pytest.raises(TheoremContradictionError, match="closed forms"):
+        verify_gornicki_answer(20)
+
+
+def test_cross_check_still_raises_under_python_O():
+    # assert statements vanish under -O; the cross-check must not
+    code = ("import sys\n"
+            "from kannanlab.cli import main\n"
+            "from kannanlab.spaces import GornickiNat\n"
+            "GornickiNat._dist = lambda self, p, q: abs(1 / p - 1 / q)\n"
+            "sys.exit(main(['gallery', '--gornicki-n', '20', '--prefix', '10']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert "THEOREM CONTRADICTION" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_fixed_point_scan_needs_a_positive_count():
+    cm = construct_counterexample_map(build_reciprocal_witness())
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="count"):
+            scan_fixed_point_free(cm, count)

@@ -12,8 +12,9 @@ from kannanlab.conditions import (EXHAUSTIVE, ChenYeh, Fisher, IteratedKannan,
                                   pairs_from_points, replay_violation,
                                   sample_pairs)
 from kannanlab.maps import Custom, PiecewiseDrop, Scale, TableMap, TripleNat
-from kannanlab.spaces import (FiniteSpace, GornickiNat, HalfLineUsual,
-                              SplitSet, split_set_sample)
+from kannanlab.spaces import (ClosureError, FiniteSpace, GornickiNat,
+                              HalfLineUsual, MembershipError, SplitSet,
+                              split_set_sample)
 
 
 def two_point_space():
@@ -319,3 +320,80 @@ def test_epsdelta_validates_inputs():
     with pytest.raises(ValueError):
         check_epsdelta_orbit(space, halving, F(1), [F(0)], [F(1, 4)],
                              horizon=4)
+
+
+# ---------------------------------------------------------------------------
+# the trust boundary: each point checked once, errors in pair order
+# ---------------------------------------------------------------------------
+
+def identity_escaping_at_five():
+    # identity on the half line (violates every strict condition at any
+    # pair), except that 5 is sent outside the space
+    return Custom(HalfLineUsual(), lambda v: F(-1) if v == 5 else v,
+                  kind="leaky_identity")
+
+
+def test_violation_at_an_earlier_pair_comes_before_a_later_escape():
+    m = identity_escaping_at_five()
+    report = evaluate_condition(StrictKannan(), m.space, m,
+                                [(F(1), F(2)), (F(3), F(5))])
+    assert (report.violation.x, report.violation.y) == (1, 2)
+    assert report.pairs_checked == 1
+
+
+def test_escape_at_an_earlier_pair_comes_before_a_later_violation():
+    m = identity_escaping_at_five()
+    with pytest.raises(ClosureError, match="maps 5 to -1"):
+        evaluate_condition(StrictKannan(), m.space, m,
+                           [(F(3), F(5)), (F(1), F(2))])
+
+
+def test_non_member_after_a_violation_is_never_reached():
+    m = identity_escaping_at_five()
+    report = evaluate_condition(StrictKannan(), m.space, m,
+                                [(F(1), F(2)), (F(-1), F(3))])
+    assert not report.holds and report.pairs_checked == 1
+    with pytest.raises(MembershipError):
+        evaluate_condition(StrictKannan(), m.space, m,
+                           [(F(-1), F(3)), (F(1), F(2))])
+
+
+def test_a_checked_point_does_not_vouch_for_an_equal_float_or_bool():
+    space = HalfLineUsual()
+    halving = Scale(space, F(1, 2))
+    for raw in (0.5, True):
+        with pytest.raises(MembershipError):
+            evaluate_condition(StrictKannan(), space, halving,
+                               [(F(1, 2), F(1)), (raw, F(3))])
+
+
+def test_each_distinct_point_and_image_is_checked_once(monkeypatch):
+    space = SplitSet()
+    drop = PiecewiseDrop(space)
+    checked = []
+    original = SplitSet.check_member
+    monkeypatch.setattr(SplitSet, "check_member",
+                        lambda self, p: checked.append(p) or original(self, p))
+    points = split_set_sample(10)
+    report = evaluate_condition(StrictKannan(), space, drop, sample_pairs(points))
+    assert report.holds and report.pairs_checked == 45
+    # the ten points, then the image of each one, each checked exactly once
+    images = [F(-1) if p == 2 else F(0) for p in points]
+    assert sorted(checked) == sorted(points + images)
+
+
+def test_violation_witness_text_for_irrational_bounds():
+    fs = three_point_unit_space()
+    tm = TableMap(fs, {"a": "b", "b": "a", "c": "c"})
+    report = evaluate_condition(ChenYeh(a=F(0), b=F(0)), fs, tm, [("a", "c")])
+    assert report.violation.rhs is None
+    assert report.violation.rhs_text == "max(1, 1/2, 1, 0, sqrt(0), 0, 0*sqrt(1))"
+
+
+def test_conditions_declare_their_finite_space_conclusions():
+    converging = (StrictKannan(), KannanK(F(1, 3)), IteratedKannan(2))
+    assert all(c.picard_converges and c.unique_fixed_point for c in converging)
+    for cond in (Fisher(), Khan()):
+        assert cond.unique_fixed_point and not cond.picard_converges
+    assert not ChenYeh().unique_fixed_point
+    assert ChenYeh(uniqueness_bounds=True).unique_fixed_point

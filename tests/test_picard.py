@@ -10,7 +10,8 @@ from kannanlab.maps import (Custom, CycleDetected, FixedPointReached, Scale,
 from kannanlab.picard import (orbit_trace_csv, run_picard, uniqueness_probe,
                               verify_fixed_point)
 from kannanlab.spaces import (FiniteSpace, GornickiNat, SplitSet,
-                              UnitIntervalRight, split_set_sample)
+                              TheoremContradictionError, UnitIntervalRight,
+                              split_set_sample)
 
 
 def test_run_piecewise_drop_from_two():
@@ -131,3 +132,25 @@ def test_run_picard_space_mismatch():
     space = SplitSet()
     with pytest.raises(ValueError, match="space"):
         run_picard(UnitIntervalRight(), PiecewiseDrop(space), F(2))
+
+
+def test_inconsistent_fixed_point_raises_rather_than_asserts():
+    # a defective rule: 1/2 looks fixed while the orbit is built, then moves
+    calls = []
+
+    def rule(v):
+        calls.append(v)
+        return v if len(calls) == 1 else F(0)
+    space = UnitIntervalRight()
+    with pytest.raises(TheoremContradictionError, match="does not fix"):
+        run_picard(space, Custom(space, rule, kind="flaky"), F(1, 2))
+
+
+def test_uniqueness_probe_raises_if_the_checker_passes_two_fixed_points(monkeypatch):
+    fs = FiniteSpace(labels=("a", "b"), matrix=((0, 1), (1, 0)))
+    ident = TableMap(fs, {"a": "a", "b": "b"})
+    # a defective checker that lets every pair pass
+    monkeypatch.setattr(StrictKannan, "verdict",
+                        lambda self, d, image, x, y: (True, F(0), F(0)))
+    with pytest.raises(TheoremContradictionError, match="two exact fixed points"):
+        uniqueness_probe(fs, ident, ["a", "b"])

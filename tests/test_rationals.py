@@ -7,17 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kannanlab.rationals import (approx_text, as_scalar, compare, lt_sqrt,
-                                 parse_scalar, scalar_text)
+from kannanlab.rationals import (approx_text, as_scalar, lt_sqrt, parse_scalar,
+                                 scalar_text)
 
 scalars = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 4)
-
-
-def test_compare_examples():
-    assert compare(F(1, 3), F(1, 3)) == 0
-    # cross-multiplied: 7*2 < 6*3
-    assert compare(F(7, 6), F(3, 2)) == -1
-    assert compare(F(159, 260), F(32, 260)) == 1
 
 
 def test_lt_sqrt_examples():
@@ -50,13 +43,6 @@ def test_parse_rejects_garbage():
         parse_scalar("one half")
     with pytest.raises(ValueError):
         parse_scalar("1/0")
-
-
-@given(a=scalars, b=scalars, c=scalars)
-def test_compare_is_sign_of_difference_and_addition_associates(a, b, c):
-    diff = a - b
-    assert compare(a, b) == (0 if diff == 0 else (1 if diff > 0 else -1))
-    assert (a + b) + c == a + (b + c)
 
 
 @given(x=st.fractions())
