@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import random
 from dataclasses import dataclass
@@ -35,6 +36,9 @@ from .rationals import lt_sqrt
 from .spaces import FiniteSpace, TheoremContradictionError
 
 MAX_CENSUS_MAPS = 10 ** 7
+# the largest space size whose n^n self-maps stay within the cap
+MAX_CENSUS_SIZE = next(n for n in itertools.count(2)
+                       if (n + 1) ** (n + 1) > MAX_CENSUS_MAPS)
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +54,8 @@ def random_finite_space(n: int, seed: int, mode: str = "band") -> FiniteSpace:
     absolute differences — more metric diversity, triangle inequality by
     collinearity.  Same (n, seed, mode) always gives the same space.
     """
-    if not (2 <= n <= 8):
-        raise ValueError("census spaces support sizes 2..8")
+    if not (2 <= n <= MAX_CENSUS_SIZE):
+        raise ValueError(f"census spaces support sizes 2..{MAX_CENSUS_SIZE}")
     if mode not in ("band", "line"):
         raise ValueError(f"unknown generator mode {mode!r}")
     rng = random.Random(f"{mode}-{n}-{seed}")  # str seeding is hash-stable

@@ -26,9 +26,9 @@ from .maps import PiecewiseDrop, Scale, StairScale, Truncated, load_map, orbit, 
 from .conditions import (EXHAUSTIVE, SampleSet, StrictKannan,
                          evaluate_condition, load_condition, sample_pairs)
 from .picard import orbit_trace_csv, run_picard, uniqueness_probe, verify_fixed_point
-from .completeness import (build_reciprocal_witness, construct_counterexample_map,
-                           scan_fixed_point_free, verify_counterexample,
-                           verify_gornicki_answer)
+from .completeness import (build_reciprocal_witness, check_gornicki_n,
+                           construct_counterexample_map, scan_fixed_point_free,
+                           verify_counterexample, verify_gornicki_answer)
 from .census import (TheoremContradictionError, census_csv, enumerate_census,
                      random_finite_space)
 
@@ -83,6 +83,10 @@ def _scalar_human(x: Fraction) -> str:
 
 def build_gallery(gornicki_n: int, prefix: int) -> dict:
     """Run every catalog example end to end and collect verdicts."""
+    # refuse a bad size before any section runs
+    check_gornicki_n(gornicki_n)
+    if prefix < 1:
+        raise ValueError("prefix must be >= 1")
     sections = []
 
     half_line = HalfLineUsual()

@@ -316,15 +316,15 @@ def verify_gornicki_answer(n: int, cross_check: Optional[int] = None) -> Gornick
     * the strict inequality between them holds,
     * d(x,y) > 1 (so Cauchy sequences must be eventually constant),
 
-    and that no x <= n is fixed by T.  The bulk scan runs on int64
-    vectors up to ``_VECTOR_SAFE_N`` (exact there) and on Fractions
-    beyond; a deterministic subsample is cross-checked against the
-    Fraction-based space metric, pair by pair.
+    and that no x <= n is fixed by T.  The scan runs on int64 vectors
+    with no gcd: every quantity is a numerator over the common
+    denominator 6xy, exact for n up to ``_VECTOR_SAFE_N`` (about 1.24e9);
+    a larger n is refused with ValueError before any pair is scanned.  A
+    deterministic subsample is cross-checked against the Fraction-based
+    space metric, pair by pair.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 for at least one pair")
-    row = _scan_row_int64 if n <= _VECTOR_SAFE_N else _scan_row_python
-    pairs_checked, forms_ok, strict_ok, dist_ok, first_violation = _scan_pairs(n, row)
+    check_gornicki_n(n)
+    pairs_checked, forms_ok, strict_ok, dist_ok, first_violation = _scan_pairs(n)
 
     fixed_point_free = all(3 * x != x for x in range(1, n + 1))
 
@@ -341,11 +341,20 @@ def verify_gornicki_answer(n: int, cross_check: Optional[int] = None) -> Gornick
                                 first_violation=first_violation)
 
 
+def check_gornicki_n(n: int) -> None:
+    """Refuse a scan size outside 2..``_VECTOR_SAFE_N`` before any work."""
+    if n < 2:
+        raise ValueError("need n >= 2 for at least one pair")
+    if n > _VECTOR_SAFE_N:
+        raise ValueError(f"n = {n} exceeds {_VECTOR_SAFE_N}, "
+                         "the largest n the int64 scan decides exactly")
+
+
 _CHECKS = ("closed_form", "strict", "distance")
 
 
-def _scan_pairs(n: int, row):
-    """Run a row body over x = 1..n-1 and merge its findings.
+def _scan_pairs(n: int):
+    """Run ``_scan_row_int64`` over x = 1..n-1 and merge its findings.
 
     Returns (pairs, forms_ok, strict_ok, dist_ok, first_violation), where
     first_violation is (x, y, check) for the first failing row, its first
@@ -354,7 +363,7 @@ def _scan_pairs(n: int, row):
     failed = set()
     first_violation = None
     for x in range(1, n):
-        for name, y in zip(_CHECKS, row(x, n)):
+        for name, y in zip(_CHECKS, _scan_row_int64(x, n)):
             if y is not None:
                 failed.add(name)
                 if first_violation is None:
@@ -363,73 +372,44 @@ def _scan_pairs(n: int, row):
             "strict" not in failed, "distance" not in failed, first_violation)
 
 
-def _reduced(num, den):
-    g = np.gcd(num, den)
-    return num // g, den // g
-
-
 def _scan_row_int64(x: int, n: int) -> list:
     """The row x < y <= n on int64 vectors: the first failing y per check, or None.
 
-    Exact only while no intermediate overflows; see ``_VECTOR_SAFE_N``.
+    Each distance is reduced by hand, d(3x,3y) = (3xy + |y-x|) / (3xy) and
+    d(x,3x) = (3x+2) / (3x), so every quantity below is a numerator over
+    the common denominator 6xy.  Exact while no value overflows; see
+    ``_VECTOR_SAFE_N``.
     """
     y = np.arange(x + 1, n + 1, dtype=np.int64)
     xx = np.int64(x)
     delta = np.abs(y - xx)
-
-    # d(Tx,Ty) via the metric: (TxTy + |Ty - Tx|) / (TxTy), Tx = 3x
-    num_l, den_l = _reduced(9 * xx * y + 3 * delta, 9 * xx * y)
-    # closed form 1 + 1/(3x) - 1/(3y) = (3xy + y - x) / (3xy)
-    num_lc, den_lc = _reduced(3 * xx * y + y - xx, 3 * xx * y)
-
-    # (d(x,Tx) + d(y,Ty)) / 2 via the metric, summed as exact fractions
-    num_a, den_a = 3 * xx * xx + 2 * xx, 3 * xx * xx
-    num_b, den_b = 3 * y * y + 2 * y, 3 * y * y
-    num_r, den_r = _reduced(num_a * den_b + num_b * den_a, 2 * den_a * den_b)
-    # closed form 1 + 1/(3x) + 1/(3y) = (3xy + x + y) / (3xy)
-    num_rc, den_rc = _reduced(3 * xx * y + xx + y, 3 * xx * y)
-
-    lhs_match = (num_l == num_lc) & (den_l == den_lc)
-    rhs_match = (num_r == num_rc) & (den_r == den_rc)
-    strict = num_l * den_r < num_r * den_l
+    xy3 = 3 * xx * y
+    # d(Tx,Ty) via the metric, Tx = 3x
+    lhs = 2 * (xy3 + delta)
+    # (d(x,Tx) + d(y,Ty)) / 2 via the metric
+    rhs = (3 * xx + 2) * y + (3 * y + 2) * xx
+    # closed forms 1 + 1/(3x) - 1/(3y) and 1 + 1/(3x) + 1/(3y)
+    forms = (lhs == 2 * (xy3 + y - xx)) & (rhs == 2 * (xy3 + xx + y))
+    # `<=` for `<` would be an equivalent change: rhs - lhs = 4x over 6xy = 2/(3y) > 0
+    strict = lhs < rhs
     # d(x,y) > 1  <=>  (xy + |y-x|) / (xy) > 1
-    masks = (lhs_match & rhs_match, strict, delta > 0)
+    masks = (forms, strict, delta > 0)
     return [None if mask.all() else int(y[np.argmin(mask)]) for mask in masks]
-
-
-def _scan_row_python(x: int, n: int) -> list:
-    """The same row in Fraction arithmetic, exact at every size."""
-    first = [None, None, None]
-    for y in range(x + 1, n + 1):
-        lhs = Fraction(9 * x * y + 3 * abs(y - x), 9 * x * y)
-        rhs = (Fraction(3 * x * x + 2 * x, 3 * x * x)
-               + Fraction(3 * y * y + 2 * y, 3 * y * y)) / 2
-        oks = (lhs == Fraction(3 * x * y + y - x, 3 * x * y)
-               and rhs == Fraction(3 * x * y + x + y, 3 * x * y),
-               lhs < rhs, abs(y - x) > 0)
-        for i, ok in enumerate(oks):
-            if not ok and first[i] is None:
-                first[i] = y
-    return first
 
 
 def _largest_intermediate(n: int) -> int:
     """The largest value ``_scan_row_int64`` forms for pairs up to n, exactly.
 
-    It is the unreduced numerator of (d(x,Tx) + d(y,Ty)) / 2,
-    num_a*den_b + num_b*den_a = (3x^2+2x)*3y^2 + (3y^2+2y)*3x^2
-    = 18x^2y^2 + 6xy(x + y), which grows in x and y and so peaks at the
-    last pair x = n-1, y = n.  Every other value is smaller:
-    2*den_a*den_b = 18x^2y^2, and the gcd-reduced fractions compared in
-    ``strict`` have denominators dividing 3xy and numerators at most
-    3xy + x + y <= 5xy, so their cross products stay under 15x^2y^2.
+    It is the closed-form numerator 2(3xy + x + y), which rhs equals, at
+    the last pair x = n-1, y = n: every other value is a smaller sum of
+    the same positive terms, and each grows in x and y.
     """
     x, y = n - 1, n
-    return (3 * x * x + 2 * x) * 3 * y * y + (3 * y * y + 2 * y) * 3 * x * x
+    return 2 * (3 * x * y + x + y)
 
 
-# The largest n whose int64 scan is exact: 26,755.  Beyond it the largest
-# intermediate passes 2^63 - 1 and the Fraction row body runs instead.
+# The largest n whose int64 scan is exact: 1,239,850,262.  Beyond it the
+# largest intermediate passes 2^63 - 1, and check_gornicki_n refuses.
 _VECTOR_SAFE_N = _least_index(
     lambda n: _largest_intermediate(n) > np.iinfo(np.int64).max, start=2) - 1
 

@@ -42,6 +42,8 @@ def test_generator_rejects_bad_sizes_and_modes():
         random_finite_space(1, seed=0)
     with pytest.raises(ValueError):
         random_finite_space(9, seed=0)
+    with pytest.raises(ValueError, match="2..7"):  # 8^8 maps exceed the census cap
+        random_finite_space(8, seed=0)
     with pytest.raises(ValueError):
         random_finite_space(3, seed=0, mode="fancy")
 
@@ -85,7 +87,9 @@ def test_census_totality_and_parallel_merge():
 
 
 def test_census_cap():
-    sp = random_finite_space(8, seed=0)
+    labels = [f"p{i}" for i in range(8)]
+    sp = FiniteSpace(labels=labels,
+                     matrix=[[int(i != j) for j in range(8)] for i in range(8)])
     with pytest.raises(ValueError, match="cap"):
         enumerate_census(sp, [StrictKannan()])
 

@@ -6,6 +6,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import pytest
 
 
 def run_cli(*args):
@@ -157,3 +158,18 @@ def test_counterexample_scan_below_one_is_config_error():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "count must be >= 1" in proc.stderr
+
+
+def test_gallery_sizes_are_refused_before_any_section(monkeypatch):
+    from kannanlab import cli
+    from kannanlab.completeness import _VECTOR_SAFE_N
+
+    def no_work(*args, **kwargs):
+        pytest.fail("a gallery section ran before the sizes were checked")
+    monkeypatch.setattr(cli, "orbit", no_work)
+    monkeypatch.setattr(cli, "verify_gornicki_answer", no_work)
+    for gornicki_n, prefix, message in ((10_000, 0, "prefix must be >= 1"),
+                                        (1, 200, "n >= 2"),
+                                        (_VECTOR_SAFE_N + 1, 200, "exceeds")):
+        with pytest.raises(ValueError, match=message):
+            cli.build_gallery(gornicki_n, prefix)

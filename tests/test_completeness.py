@@ -6,9 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from kannanlab import completeness
+from kannanlab.cli import main
 from kannanlab.completeness import (_VECTOR_SAFE_N, _largest_intermediate,
                                     _scan_pairs, _scan_row_int64,
-                                    _scan_row_python, build_reciprocal_witness,
+                                    build_reciprocal_witness,
                                     construct_counterexample_map,
                                     scan_fixed_point_free, spot_check_witness,
                                     verify_counterexample,
@@ -144,10 +146,29 @@ def test_gornicki_answer_matches_condition_checker():
     assert report.pairs_checked == len(pairs)
 
 
-def test_gornicki_answer_int64_and_python_scans_agree():
-    assert all(_scan_row_int64(x, 60) == _scan_row_python(x, 60)
-               for x in range(1, 60))
-    assert _scan_pairs(60, _scan_row_int64) == _scan_pairs(60, _scan_row_python)
+def fraction_row(x, n):
+    """The oracle: the row of ``_scan_row_int64`` in Fraction arithmetic,
+    straight from the metric with no hand reduction, exact at every size."""
+    first = [None, None, None]
+    for y in range(x + 1, n + 1):
+        lhs = F(9 * x * y + 3 * abs(y - x), 9 * x * y)
+        rhs = (F(3 * x * x + 2 * x, 3 * x * x) + F(3 * y * y + 2 * y, 3 * y * y)) / 2
+        oks = (lhs == F(3 * x * y + y - x, 3 * x * y)
+               and rhs == F(3 * x * y + x + y, 3 * x * y),
+               lhs < rhs, abs(y - x) > 0)
+        for i, ok in enumerate(oks):
+            if not ok and first[i] is None:
+                first[i] = y
+    return first
+
+
+def test_gornicki_answer_int64_and_python_scans_agree(monkeypatch):
+    assert all(_scan_row_int64(x, 60) == fraction_row(x, 60) for x in range(1, 60))
+    assert all(_scan_row_int64(x, 1000) == fraction_row(x, 1000)
+               for x in (1, 2, 3, 97, 500, 998, 999))
+    int64_scan = _scan_pairs(60)
+    monkeypatch.setattr(completeness, "_scan_row_int64", fraction_row)
+    assert _scan_pairs(60) == int64_scan
 
 
 def test_gornicki_answer_report_fields():
@@ -167,24 +188,34 @@ def test_int64_bound_is_derived_at_its_edge():
     limit = 2 ** 63 - 1
     assert _largest_intermediate(_VECTOR_SAFE_N) <= limit
     assert _largest_intermediate(_VECTOR_SAFE_N + 1) > limit
-    assert _VECTOR_SAFE_N == 26_755
+    assert _VECTOR_SAFE_N == 1_239_850_262
 
 
-def test_int64_last_row_is_exact_at_the_bound_and_overflows_past_it():
+def test_int64_last_row_is_exact_at_the_bound():
     # only the last row, which holds the largest intermediate: the full
-    # scan at this size would be ~3.6e8 pairs
+    # scan at this size would be ~7.7e17 pairs
     n = _VECTOR_SAFE_N
-    assert _scan_row_int64(n - 1, n) == [None, None, None]
-    assert _scan_row_python(n, n + 1) == [None, None, None]
-    # one past the bound the int64 row reports a spurious violation, which
-    # is why verify_gornicki_answer switches to the Fraction row there
-    assert _scan_row_int64(n, n + 1) != [None, None, None]
+    assert _scan_row_int64(n - 1, n) == fraction_row(n - 1, n) == [None, None, None]
 
 
-def test_scan_reports_the_first_violation_of_a_row_body():
+def test_past_the_bound_is_refused_without_scanning(monkeypatch, capsys):
+    # past the bound int64 wraps around silently (lhs < rhs still reads
+    # true), so the size is refused before any row runs
+    def no_scan(x, n):
+        pytest.fail("a row was scanned past the bound")
+    monkeypatch.setattr(completeness, "_scan_row_int64", no_scan)
+    with pytest.raises(ValueError, match="exceeds"):
+        verify_gornicki_answer(_VECTOR_SAFE_N + 1)
+    assert main(["gallery", "--gornicki-n", str(_VECTOR_SAFE_N + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds" in err
+
+
+def test_scan_reports_the_first_violation_of_a_row_body(monkeypatch):
     def row(x, n):  # a defective row body: strict fails at y = 5 of row 3
         return [None, 5, None] if x == 3 else [None, None, None]
-    assert _scan_pairs(6, row) == (15, True, False, True, (3, 5, "strict"))
+    monkeypatch.setattr(completeness, "_scan_row_int64", row)
+    assert _scan_pairs(6) == (15, True, False, True, (3, 5, "strict"))
 
 
 def test_cross_check_raises_on_a_wrong_distance(monkeypatch):

@@ -1,0 +1,54 @@
+"""Edge cases that a wrong verdict would slip past elsewhere in the suite.
+
+A tie at the Kannan bound, a Fisher formula read against Chen–Yeh's
+Fisher mean, and a census row that breaks only the Picard branch of the
+theorem check.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from kannanlab.census import (CensusRow, TheoremContradictionError,
+                              _check_row_against_theorems, enumerate_census,
+                              random_finite_space)
+from kannanlab.conditions import (EXHAUSTIVE, ChenYeh, Fisher, KannanK,
+                                  StrictKannan, evaluate_condition)
+from kannanlab.maps import TableMap
+from kannanlab.spaces import FiniteSpace
+
+
+def test_kannan_k_holds_at_a_tie():
+    # d(a,b) = 1, d(a,c) = d(b,c) = 3; the pair (b, c) gives
+    # d(Tb,Tc) = d(b,a) = 1 = (1/3)(d(b,b) + d(c,a)) = (1/3)(0 + 3)
+    space = FiniteSpace(labels=("a", "b", "c"),
+                        matrix=((0, 1, 3), (1, 0, 3), (3, 3, 0)))
+    t = TableMap(space, {"a": "b", "b": "b", "c": "a"})
+    d = space.dist
+    assert d("b", "a") == F(1, 3) * (d("b", "b") + d("c", "a"))
+    assert evaluate_condition(KannanK(F(1, 3)), space, t, EXHAUSTIVE).holds
+
+
+def test_fisher_rows_are_chen_yeh_rows():
+    # Chen–Yeh's maximum includes the Fisher mean (d(x,Ty) + d(y,Tx))/2,
+    # so every Fisher map is a chen_yeh(0, 0) map
+    conds = [Fisher(), ChenYeh(F(0), F(0))]
+    fisher_rows = 0
+    for size, seed in ((4, 0), (4, 1), (4, 2), (4, 3), (5, 0)):
+        space = random_finite_space(size, seed=seed, mode="line")
+        for row in enumerate_census(space, conds):
+            if row.satisfied("fisher"):
+                fisher_rows += 1
+                assert row.satisfied("chen_yeh(a=0,b=0)"), (size, seed, row.map_id)
+    assert fisher_rows > 0
+
+
+def test_contradiction_error_fires_on_a_non_converging_unique_fixed_point():
+    # one fixed point satisfies uniqueness, so only the Picard branch
+    # can catch a strict-Kannan row whose iteration fails to converge
+    forged = CensusRow(map_id="012", satisfies=(("strict_kannan", True),),
+                       fixed_point_count=1,
+                       picard_converges_from_all_starts=False,
+                       common_limit=None)
+    with pytest.raises(TheoremContradictionError, match="converges=False"):
+        _check_row_against_theorems(forged, [StrictKannan()])
