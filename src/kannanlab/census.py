@@ -158,21 +158,20 @@ def _check_row_against_theorems(row: CensusRow, conditions: Sequence[Condition])
 
 
 def _classify_range(args) -> list[CensusRow]:
-    space, conditions, start, stop, check = args
+    space, conditions, start, stop = args
     rows = []
     for map_id in range(start, stop):
         row = classify_map(space, map_id, conditions)
-        if check:
-            _check_row_against_theorems(row, conditions)
+        _check_row_against_theorems(row, conditions)
         rows.append(row)
     return rows
 
 
 def enumerate_census(space: FiniteSpace,
                      conditions: Sequence[Condition] = (StrictKannan(),),
-                     workers: int = 1,
-                     check_theorems: bool = True) -> list[CensusRow]:
-    """One row per self-map, in numeric map-id order.
+                     workers: int = 1) -> list[CensusRow]:
+    """One row per self-map, in numeric map-id order, each checked against
+    the theorems of the conditions it satisfies.
 
     Partitioning across workers changes nothing in the output: ranges are
     classified independently and merged back in id order.
@@ -185,9 +184,9 @@ def enumerate_census(space: FiniteSpace,
     # a chunk holds at least one map, so there are at most ``total`` chunks
     workers = pool_size(workers, os.cpu_count(), total)
     if workers == 1:
-        return _classify_range((space, conditions, 0, total, check_theorems))
+        return _classify_range((space, conditions, 0, total))
     chunk = -(-total // (workers * 4))
-    ranges = [(space, conditions, lo, min(lo + chunk, total), check_theorems)
+    ranges = [(space, conditions, lo, min(lo + chunk, total))
               for lo in range(0, total, chunk)]
     with Pool(workers) as pool:
         parts = pool.map(_classify_range, ranges)

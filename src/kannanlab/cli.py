@@ -19,12 +19,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .rationals import approx_text, parse_scalar, scalar_text
+from .rationals import parse_scalar, scalar_text
 from .spaces import (ClosureError, FiniteSpace, HalfLineUsual, MembershipError,
                      SplitSet, UnitIntervalRight, load_space, split_set_sample)
 from .maps import PiecewiseDrop, Scale, StairScale, Truncated, load_map, orbit, orbit_cluster_probe
-from .conditions import (EXHAUSTIVE, SampleSet, StrictKannan,
-                         evaluate_condition, load_condition, sample_pairs)
+from .conditions import (EXHAUSTIVE, StrictKannan, evaluate_condition,
+                         load_condition, sample_pairs)
 from .picard import orbit_trace_csv, run_picard, uniqueness_probe, verify_fixed_point
 from .completeness import (build_reciprocal_witness, check_gornicki_n,
                            construct_counterexample_map, scan_fixed_point_free,
@@ -71,10 +71,6 @@ def _parse_point(space, text: str):
     if isinstance(space, FiniteSpace):
         return space.check_member(text)
     return space.check_member(parse_scalar(text))
-
-
-def _scalar_human(x: Fraction) -> str:
-    return f"{scalar_text(x)} (approx {approx_text(x)})"
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +210,8 @@ def _resolve_pairs_arg(space, pairs_arg):
                              "explicit sample (exhaustive scans are finite-only)")
         return EXHAUSTIVE
     raw = _load_json_arg(pairs_arg)
-    pairs = tuple((_parse_point(space, str(x)), _parse_point(space, str(y)))
-                  for x, y in raw)
-    return SampleSet(pairs=pairs, seed=None)
+    return tuple((_parse_point(space, str(x)), _parse_point(space, str(y)))
+                 for x, y in raw)
 
 
 def cmd_check(args) -> tuple[int, str]:
@@ -308,8 +303,9 @@ def cmd_census(args) -> tuple[int, str]:
 def cmd_counterexample(args) -> tuple[int, str]:
     witness = build_reciprocal_witness()
     cmap = construct_counterexample_map(witness)
-    verification = verify_counterexample(cmap, args.prefix)
+    # the cheap index-rule scan refuses a bad --scan before any prefix pair
     fixed_free = scan_fixed_point_free(cmap, args.scan)
+    verification = verify_counterexample(cmap, args.prefix)
     config = {"command": "counterexample", "prefix": args.prefix,
               "scan": args.scan}
     report = verification.to_json()

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .rationals import HALF, as_scalar, lt_sqrt, scalar_text
+from .rationals import HALF, as_scalar, json_scalar, lt_sqrt, scalar_text
 from .maps import SelfMap
 from .spaces import FiniteSpace, Space, point_text
 
@@ -132,85 +132,51 @@ class Khan(Condition):
         return lt_sqrt(lhs, u), lhs, lambda: f"sqrt({scalar_text(u)})"
 
 
-PairTable = Union[Fraction, Mapping[tuple, Fraction]]
-
-
 @dataclass(frozen=True)
 class ChenYeh(Condition):
     """d(Tx,Ty) < max of seven terms mixing all six distances.
 
     The terms are d(x,y); the Kannan mean (d(x,Tx)+d(y,Ty))/2; the Fisher
     mean (d(x,Ty)+d(y,Tx))/2; d(x,Tx)d(y,Ty)/d(x,y); sqrt(d(x,Tx)d(y,Ty));
-    a(x,y)d(x,Ty)d(y,Tx); and b(x,y)sqrt(d(x,Ty)d(y,Tx)), where a and b
-    are caller-supplied non-negative weight tables (a constant Scalar or a
-    finite mapping over the evaluated pairs — never a symbolic function,
-    so the checker stays exact and total).
+    a*d(x,Ty)d(y,Tx); and b*sqrt(d(x,Ty)d(y,Tx)), where the weights a and
+    b are non-negative exact constants, so the checker stays exact and
+    total.
 
-    ``uniqueness_bounds`` records the extra hypotheses a(x,y) <= 1/d(x,y)
-    and b(x,y) <= 1 under which the fixed point is unique; when set, the
-    tables are validated against those bounds on every evaluated pair.
+    ``uniqueness_bounds`` records the extra hypotheses a <= 1/d(x,y) and
+    b <= 1 under which the fixed point is unique; when set, the weights
+    are validated against those bounds on every evaluated pair.
     """
 
-    a: PairTable = Fraction(0)
-    b: PairTable = Fraction(0)
+    a: Fraction = Fraction(0)
+    b: Fraction = Fraction(0)
     uniqueness_bounds: bool = False
 
     kind = "chen_yeh"
 
     def __post_init__(self):
         for name in ("a", "b"):
-            table = getattr(self, name)
-            if isinstance(table, Mapping):
-                entries = {k: as_scalar(v) for k, v in table.items()}
-                if any(v < 0 for v in entries.values()):
-                    raise ValueError(f"ChenYeh {name}-table has a negative weight")
-                object.__setattr__(self, name, entries)
-            else:
-                value = as_scalar(table)
-                if value < 0:
-                    raise ValueError(f"ChenYeh {name} must be non-negative")
-                object.__setattr__(self, name, value)
+            value = as_scalar(getattr(self, name))
+            if value < 0:
+                raise ValueError(f"ChenYeh {name} must be non-negative")
+            object.__setattr__(self, name, value)
 
     @property
     def unique_fixed_point(self) -> bool:
         return self.uniqueness_bounds
 
-    def weight(self, name: str, x, y) -> Fraction:
-        table = getattr(self, name)
-        if isinstance(table, Mapping):
-            try:
-                return table[(x, y)]
-            except KeyError:
-                raise ValueError(
-                    f"ChenYeh {name}-table has no entry for the pair "
-                    f"({point_text(x)}, {point_text(y)})") from None
-        return table
-
     def label(self) -> str:
-        a = str(self.a) if not isinstance(self.a, Mapping) else "table"
-        b = str(self.b) if not isinstance(self.b, Mapping) else "table"
-        return f"chen_yeh(a={a},b={b})"
+        return f"chen_yeh(a={self.a},b={self.b})"
 
     def to_json(self) -> dict:
-        out = {"kind": "chen_yeh", "uniqueness_bounds": self.uniqueness_bounds}
-        for name in ("a", "b"):
-            table = getattr(self, name)
-            if isinstance(table, Mapping):
-                out[name] = {"pairs": [[point_text(x), point_text(y), str(v)]
-                                       for (x, y), v in sorted(
-                                           table.items(),
-                                           key=lambda kv: (point_text(kv[0][0]),
-                                                           point_text(kv[0][1])))]}
-            else:
-                out[name] = str(table)
-        return out
+        return {"kind": "chen_yeh", "uniqueness_bounds": self.uniqueness_bounds,
+                "a": str(self.a), "b": str(self.b)}
 
     def verdict(self, d, image, x, y):
         tx, ty = image(x), image(y)
         dxy = d(x, y)
         dxtx, dyty = d(x, tx), d(y, ty)
         dxty, dytx = d(x, ty), d(y, tx)
-        a, b = self.weight("a", x, y), self.weight("b", x, y)
+        a, b = self.a, self.b
         if self.uniqueness_bounds:
             if a * dxy > 1:
                 raise ValueError(f"uniqueness bound a <= 1/d(x,y) fails at "
@@ -227,9 +193,9 @@ class ChenYeh(Condition):
             a * dxty * dytx,
         ]
         holds = any(lhs < t for t in rational_terms)
-        # sqrt terms, decided by squaring: lhs < max(terms) iff lhs < some term
-        if not holds:
-            holds = lt_sqrt(lhs, dxtx * dyty)
+        # The term sqrt(d(x,Tx)d(y,Ty)) never decides: by AM-GM it is at
+        # most the Kannan mean, which lhs has already reached.  The b term
+        # is decided by squaring: lhs < b*sqrt(v) iff lhs/b < sqrt(v).
         if not holds and b > 0:
             holds = lt_sqrt(lhs / b, dxty * dytx)
 
@@ -275,23 +241,26 @@ class IteratedKannan(Condition):
 
 
 def load_condition(obj: dict) -> Condition:
-    """Build a condition from its JSON definition (constant a/b tables only)."""
+    """Build a condition from its JSON definition."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("condition definition must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "strict_kannan":
         return StrictKannan()
     if kind == "kannan_k":
-        return KannanK(as_scalar(obj["k"]))
+        return KannanK(json_scalar(obj["k"]))
     if kind == "fisher":
         return Fisher()
     if kind == "khan":
         return Khan()
     if kind == "chen_yeh":
-        return ChenYeh(a=as_scalar(obj.get("a", 0)), b=as_scalar(obj.get("b", 0)),
+        return ChenYeh(a=json_scalar(obj.get("a", 0)), b=json_scalar(obj.get("b", 0)),
                        uniqueness_bounds=bool(obj.get("uniqueness_bounds", False)))
     if kind == "iterated_kannan":
-        return IteratedKannan(int(obj["m"]))
+        m = obj["m"]
+        if isinstance(m, bool) or not isinstance(m, (int, str)):
+            raise ValueError(f"iteration shift m must be an integer, got {m!r}")
+        return IteratedKannan(int(m))
     raise ValueError(f"unknown condition kind {kind!r}")
 
 
@@ -307,26 +276,18 @@ class Exhaustive:
 EXHAUSTIVE = Exhaustive()
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """An explicit pair list, with the generating seed recorded if any."""
+def sample_pairs(points: Sequence) -> tuple:
+    """All unordered distinct pairs among the given points, in list order.
 
-    pairs: tuple
-    seed: Optional[int] = None
-
-
-def pairs_from_points(points: Sequence) -> tuple:
-    """All unordered distinct pairs among the given points, in list order."""
+    The result is a plain pair tuple, an explicit sample for
+    :func:`evaluate_condition`.
+    """
     pts = list(points)
     return tuple((pts[i], pts[j])
                  for i in range(len(pts)) for j in range(i + 1, len(pts)))
 
 
-def sample_pairs(points: Sequence, seed: Optional[int] = None) -> SampleSet:
-    return SampleSet(pairs=pairs_from_points(points), seed=seed)
-
-
-PairSource = Union[Exhaustive, SampleSet, Iterable]
+PairSource = Union[Exhaustive, Iterable]
 
 
 def _resolve_pairs(space: Space, pairs: PairSource):
@@ -336,9 +297,6 @@ def _resolve_pairs(space: Space, pairs: PairSource):
                              "supply an explicit sample for catalog spaces")
         return space.distinct_pairs(), {"kind": "exhaustive",
                                         "space_size": space.size}, True
-    if isinstance(pairs, SampleSet):
-        desc = {"kind": "sample", "pairs": len(pairs.pairs), "seed": pairs.seed}
-        return list(pairs.pairs), desc, False
     pair_list = [tuple(p) for p in pairs]
     return pair_list, {"kind": "sample", "pairs": len(pair_list), "seed": None}, False
 

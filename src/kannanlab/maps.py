@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .rationals import as_scalar
+from .rationals import as_scalar, json_scalar
 from .spaces import (ClosureError, FiniteSpace, GornickiNat, MembershipError,
                      Space, SplitSet, point_text)
 
@@ -299,7 +299,7 @@ def load_map(obj: dict, space: Space) -> SelfMap:
             raise ValueError("table maps need a finite space")
         return TableMap(space, obj.get("assign", {}))
     if kind == "scale":
-        return Scale(space, as_scalar(obj["c"]))
+        return Scale(space, json_scalar(obj["c"]))
     if kind == "stair_scale":
         return StairScale(space)
     if kind == "piecewise_drop":

@@ -37,6 +37,14 @@ def as_scalar(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact Scalar")
 
 
+def json_scalar(value) -> Fraction:
+    """``as_scalar`` for a JSON field: a float or bool is a ValueError there."""
+    try:
+        return as_scalar(value)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse the "p/q" text form (integer shorthand "p" and decimals allowed)."""
     try:
@@ -50,9 +58,9 @@ def scalar_text(x: Fraction) -> str:
     return str(x)
 
 
-def approx_text(x: Fraction, digits: int = 6) -> str:
-    """Rendering-only decimal approximation, explicitly marked as such."""
-    return f"{float(x):.{digits}g}"
+def approx_text(x: Fraction) -> str:
+    """Rendering-only decimal approximation (6 significant digits)."""
+    return f"{float(x):.6g}"
 
 
 def lt_sqrt(a, u) -> bool:

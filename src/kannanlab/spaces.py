@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .rationals import as_scalar, scalar_text
+from .rationals import as_scalar, json_scalar, scalar_text
 
 
 class MembershipError(ValueError):
@@ -307,7 +307,8 @@ def load_space(obj: dict) -> Space:
     if kind == "finite":
         try:
             return FiniteSpace(labels=tuple(obj["labels"]),
-                               matrix=tuple(tuple(row) for row in obj["d"]))
+                               matrix=tuple(tuple(json_scalar(v) for v in row)
+                                            for row in obj["d"]))
         except KeyError as exc:
             raise ValueError(f"finite space definition missing {exc}") from None
     if kind in _CATALOG:

@@ -173,3 +173,37 @@ def test_gallery_sizes_are_refused_before_any_section(monkeypatch):
                                         (_VECTOR_SAFE_N + 1, 200, "exceeds")):
         with pytest.raises(ValueError, match=message):
             cli.build_gallery(gornicki_n, prefix)
+
+
+def test_counterexample_scan_is_refused_before_the_prefix_scan(monkeypatch, capsys):
+    from kannanlab import cli
+
+    def no_scan(*args, **kwargs):
+        pytest.fail("the prefix scan ran before --scan was checked")
+    monkeypatch.setattr(cli, "verify_counterexample", no_scan)
+    assert cli.main(["counterexample", "--prefix", "600", "--scan", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "config error: scan count must be >= 1\n"
+
+
+HALF_LINE = ("--space", '{"kind": "half_line"}', "--pairs", '[["1", "2"]]')
+HALVING = '{"kind": "scale", "c": "1/2"}'
+STRICT = '{"kind": "strict_kannan"}'
+
+
+@pytest.mark.parametrize("args", [
+    (*HALF_LINE, "--map", HALVING, "--condition", '{"kind": "kannan_k", "k": 0.25}'),
+    (*HALF_LINE, "--map", HALVING, "--condition", '{"kind": "kannan_k", "k": true}'),
+    (*HALF_LINE, "--map", HALVING, "--condition", '{"kind": "chen_yeh", "a": 0.5}'),
+    (*HALF_LINE, "--map", HALVING, "--condition", '{"kind": "iterated_kannan", "m": 1.5}'),
+    (*HALF_LINE, "--map", HALVING, "--condition", '{"kind": "iterated_kannan", "m": true}'),
+    (*HALF_LINE, "--map", '{"kind": "scale", "c": 0.5}', "--condition", STRICT),
+    ("--space", '{"kind": "finite", "labels": ["a", "b"], "d": [[0, 1.5], [1.5, 0]]}',
+     "--map", '{"kind": "table", "assign": {"a": "a", "b": "a"}}', "--condition", STRICT),
+])
+def test_json_float_or_bool_in_a_scalar_field_is_config_error(args):
+    proc = run_cli("check", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: ")
+    assert "Traceback" not in proc.stderr

@@ -62,6 +62,14 @@ def test_approx_text_is_rendering_only():
 
 
 @settings(max_examples=300, deadline=None)
+@given(p=scalars.map(abs), q=scalars.map(abs))
+def test_geometric_mean_never_exceeds_the_arithmetic_mean(p, q):
+    # AM-GM: sqrt(pq) <= (p+q)/2, so ChenYeh.verdict skips its
+    # sqrt(d(x,Tx)d(y,Ty)) term once lhs has reached the Kannan mean
+    assert lt_sqrt((p + q) / 2, p * q) is False
+
+
+@settings(max_examples=300, deadline=None)
 @given(a=scalars, u=scalars.map(abs))
 def test_lt_sqrt_agrees_with_floats_away_from_the_boundary(a, u):
     af = float(a)

@@ -1,8 +1,8 @@
 """Edge cases that a wrong verdict would slip past elsewhere in the suite.
 
 A tie at the Kannan bound, a Fisher formula read against Chen–Yeh's
-Fisher mean, and a census row that breaks only the Picard branch of the
-theorem check.
+Fisher mean, Chen–Yeh against a literal seven-term oracle, and a census
+row that breaks only the Picard branch of the theorem check.
 """
 
 from fractions import Fraction as F
@@ -11,10 +11,11 @@ import pytest
 
 from kannanlab.census import (CensusRow, TheoremContradictionError,
                               _check_row_against_theorems, enumerate_census,
-                              random_finite_space)
+                              map_from_id, random_finite_space)
 from kannanlab.conditions import (EXHAUSTIVE, ChenYeh, Fisher, KannanK,
                                   StrictKannan, evaluate_condition)
 from kannanlab.maps import TableMap
+from kannanlab.rationals import lt_sqrt
 from kannanlab.spaces import FiniteSpace
 
 
@@ -41,6 +42,45 @@ def test_fisher_rows_are_chen_yeh_rows():
                 fisher_rows += 1
                 assert row.satisfied("chen_yeh(a=0,b=0)"), (size, seed, row.map_id)
     assert fisher_rows > 0
+
+
+def chen_yeh_literal(space, t, a, b):
+    """The seven-term Chen–Yeh maximum, term by term, on every pair."""
+    d = space.dist
+    for x, y in space.distinct_pairs():
+        tx, ty = t.apply(x), t.apply(y)
+        lhs = d(tx, ty)
+        dxtx, dyty, dxty, dytx = d(x, tx), d(y, ty), d(x, ty), d(y, tx)
+        if not (lhs < d(x, y)
+                or lhs < (dxtx + dyty) / 2
+                or lhs < (dxty + dytx) / 2
+                or lhs < dxtx * dyty / d(x, y)
+                or lt_sqrt(lhs, dxtx * dyty)
+                or lhs < a * dxty * dytx
+                # b * sqrt(v) = sqrt(b^2 v) for b >= 0
+                or lt_sqrt(lhs, b * b * dxty * dytx)):
+            return False
+    return True
+
+
+def test_chen_yeh_matches_a_literal_seven_term_oracle():
+    weights = [(F(0), F(0)), (F(2), F(0)), (F(0), F(1, 2)), (F(0), F(2)),
+               (F(1, 3), F(3))]
+    seen = set()
+    for mode in ("band", "line"):
+        for size in (3, 4):
+            for seed in (0, 1, 2):
+                space = random_finite_space(size, seed=seed, mode=mode)
+                for map_id in range(size ** size):
+                    t = map_from_id(space, map_id)
+                    for a, b in weights:
+                        got = evaluate_condition(ChenYeh(a, b), space, t,
+                                                 EXHAUSTIVE).holds
+                        assert got == chen_yeh_literal(space, t, a, b), (
+                            mode, size, seed, map_id, a, b)
+                        seen.add((a, b, got))
+    # each weight pair met maps on both sides of the verdict
+    assert len(seen) == 2 * len(weights)
 
 
 def test_contradiction_error_fires_on_a_non_converging_unique_fixed_point():
