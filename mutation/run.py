@@ -91,6 +91,15 @@ MUTANTS = [
      "    verification = verify_counterexample(cmap, args.prefix)\n",
      "    verification = verify_counterexample(cmap, args.prefix)\n"
      "    fixed_free = scan_fixed_point_free(cmap, args.scan)\n", None),
+    ("src/kannanlab/census.py",
+     "        key = (x, y, tx, ty)",
+     "        key = (x, y, tx)", None),
+    ("src/kannanlab/conditions.py",
+     "        return self.m == 0",
+     "        return True", None),
+    ("src/kannanlab/census.py",
+     "            limit = o.points[-1] if isinstance(o.status, FixedPointReached) else None",
+     "            limit = o.points[-1]", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

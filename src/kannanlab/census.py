@@ -10,6 +10,12 @@ disagreement is not a test failure to shrug at — it contradicts a proved
 theorem and therefore means the implementation is broken; it raises
 :class:`TheoremContradictionError` and stops the build.
 
+Each distinct thing is computed once.  A pair-local condition is decided
+once per (pair, Tx, Ty), and each such verdict stands for the n^(n-2)
+maps that agree on the pair; the pair list is built once per space; and
+an orbit runs only from a start that no earlier orbit of the same map
+visited, since every point it visits shares its fate.
+
 Map ids are base-|X| encodings of the assignment vector, enumerated in
 numeric order, so censuses are reproducible, resumable, and mergeable
 after parallel partitioning.
@@ -24,6 +30,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from multiprocessing import Pool
 from typing import Optional, Sequence
 
@@ -116,14 +123,17 @@ def classify_map(space: FiniteSpace, map_id: int,
          evaluate_condition(cond, space, tm, EXHAUSTIVE).holds)
         for cond in conditions)
     fixed = sum(1 for l in space.labels if tm.assign[l] == l)
-    limits = []
-    converges = True
+    # Every point an orbit visits shares its fate: the fixed point it
+    # reaches, or None (no limit) when it cycles.  So an orbit runs only
+    # from a start no earlier orbit of this map has visited.
+    fate = {}
     for start in space.labels:
-        o = orbit(tm, start, horizon=space.size)  # pigeonhole: always resolves
-        if isinstance(o.status, FixedPointReached):
-            limits.append(o.points[-1])
-        else:
-            converges = False
+        if start not in fate:
+            o = orbit(tm, start, horizon=space.size)  # pigeonhole: always resolves
+            limit = o.points[-1] if isinstance(o.status, FixedPointReached) else None
+            fate.update(dict.fromkeys(o.points, limit))
+    limits = [fate[l] for l in space.labels]
+    converges = None not in limits
     common = None
     if converges and len(set(limits)) == 1:
         common = limits[0]
@@ -157,11 +167,50 @@ def _check_row_against_theorems(row: CensusRow, conditions: Sequence[Condition])
                 f"{count} fixed points")
 
 
+class _RememberedVerdicts(Condition):
+    """A pair-local condition whose verdicts on one space are kept per
+    (x, y, Tx, Ty).
+
+    On a fixed space such a verdict reads nothing else, so each key is
+    decided once and stands for every map that agrees with it on x and y:
+    n^(n-2) maps on an n-point space.  A bound given as a function is
+    cached too, so its text renders once per key.
+    """
+
+    def __init__(self, inner: Condition):
+        self.inner = inner
+        self.kind = inner.kind
+        self.unique_fixed_point = inner.unique_fixed_point
+        self.picard_converges = inner.picard_converges
+        self._label = inner.label()
+        self._verdicts = {}
+
+    def label(self) -> str:
+        return self._label
+
+    def verdict(self, d, image, x, y):
+        tx, ty = image(x), image(y)  # the pair's own images come first
+        key = (x, y, tx, ty)
+        found = self._verdicts.get(key)
+        if found is None:
+            holds, lhs, rhs = self.inner.verdict(d, image, x, y)
+            found = self._verdicts[key] = (holds, lhs,
+                                           cache(rhs) if callable(rhs) else rhs)
+        return found
+
+
+def _remembered(conditions: Sequence[Condition]) -> tuple[Condition, ...]:
+    """The conditions for scans of one space, pair-local ones remembered."""
+    return tuple(_RememberedVerdicts(c) if c.pair_local else c for c in conditions)
+
+
 def _classify_range(args) -> list[CensusRow]:
     space, conditions, start, stop = args
+    # built here, in the worker, so nothing new is pickled
+    remembered = _remembered(conditions)
     rows = []
     for map_id in range(start, stop):
-        row = classify_map(space, map_id, conditions)
+        row = classify_map(space, map_id, remembered)
         _check_row_against_theorems(row, conditions)
         rows.append(row)
     return rows
@@ -238,7 +287,7 @@ class TightnessReport:
 
 
 def tightness_scan(space: FiniteSpace) -> TightnessReport:
-    strict = StrictKannan()
+    strict = _RememberedVerdicts(StrictKannan())
     best: Optional[Fraction] = None
     best_map = best_pair = None
     satisfying = 0

@@ -41,11 +41,15 @@ class Condition:
     (hence compact and complete) space: a map satisfying it on every pair
     has a fixed point, exactly one when ``unique_fixed_point``, and Picard
     iteration reaches it from every start when ``picard_converges``.
+
+    ``pair_local`` declares that a verdict reads only x, y, Tx and Ty, so
+    two maps that agree on x and y get the same verdict on that pair.
     """
 
     kind: str
     unique_fixed_point = True
     picard_converges = False
+    pair_local = True
 
     def label(self) -> str:
         return self.kind
@@ -225,6 +229,10 @@ class IteratedKannan(Condition):
         if not isinstance(self.m, int) or self.m < 0:
             raise ValueError("iteration shift m must be an integer >= 0")
 
+    @property
+    def pair_local(self) -> bool:
+        return self.m == 0  # m >= 1 reads T^2 x and beyond
+
     def label(self) -> str:
         return f"iterated_kannan({self.m})"
 
@@ -254,8 +262,11 @@ def load_condition(obj: dict) -> Condition:
     if kind == "khan":
         return Khan()
     if kind == "chen_yeh":
+        bounds = obj.get("uniqueness_bounds", False)
+        if not isinstance(bounds, bool):
+            raise ValueError(f"uniqueness_bounds must be true or false, got {bounds!r}")
         return ChenYeh(a=json_scalar(obj.get("a", 0)), b=json_scalar(obj.get("b", 0)),
-                       uniqueness_bounds=bool(obj.get("uniqueness_bounds", False)))
+                       uniqueness_bounds=bounds)
     if kind == "iterated_kannan":
         m = obj["m"]
         if isinstance(m, bool) or not isinstance(m, (int, str)):

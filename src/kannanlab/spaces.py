@@ -256,6 +256,10 @@ class FiniteSpace(Space):
             raise ValueError(f"not a metric: {axiom} fails at {witness}")
         object.__setattr__(
             self, "_index", {label: i for i, label in enumerate(self.labels)})
+        n = len(self.labels)
+        object.__setattr__(
+            self, "_pairs", tuple((self.labels[i], self.labels[j])
+                                  for i in range(n) for j in range(i + 1, n)))
 
     @property
     def size(self) -> int:
@@ -275,10 +279,12 @@ class FiniteSpace(Space):
     def axiom_report(self) -> MetricAxiomReport:
         return verify_metric_axioms(self.labels, self.matrix)
 
-    def distinct_pairs(self) -> list[tuple[str, str]]:
-        """All unordered pairs of distinct points, in label order."""
-        return [(self.labels[i], self.labels[j])
-                for i in range(self.size) for j in range(i + 1, self.size)]
+    def distinct_pairs(self) -> tuple[tuple[str, str], ...]:
+        """All unordered pairs of distinct points, in label order.
+
+        The tuple is built once, at construction, and shared by every scan.
+        """
+        return self._pairs
 
     def to_json(self) -> dict:
         return {"kind": "finite",
@@ -306,11 +312,15 @@ def load_space(obj: dict) -> Space:
     kind = obj["kind"]
     if kind == "finite":
         try:
-            return FiniteSpace(labels=tuple(obj["labels"]),
-                               matrix=tuple(tuple(json_scalar(v) for v in row)
-                                            for row in obj["d"]))
+            labels, d = obj["labels"], obj["d"]
         except KeyError as exc:
             raise ValueError(f"finite space definition missing {exc}") from None
+        if not isinstance(labels, list):
+            raise ValueError(f"finite space 'labels' must be a list, got {labels!r}")
+        if not isinstance(d, list) or not all(isinstance(row, list) for row in d):
+            raise ValueError(f"finite space 'd' must be a list of lists, got {d!r}")
+        return FiniteSpace(labels=tuple(labels),
+                           matrix=tuple(tuple(json_scalar(v) for v in row) for row in d))
     if kind in _CATALOG:
         return _CATALOG[kind]()
     raise ValueError(f"unknown space kind {kind!r}")

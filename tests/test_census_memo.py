@@ -1,0 +1,129 @@
+"""The census fast path against a plain reference.
+
+``enumerate_census`` decides each pair-local verdict once per
+(x, y, Tx, Ty) and runs an orbit only from unvisited starts.  The
+reference here does neither: every map runs plain ``evaluate_condition``
+on the unwrapped conditions and one ``orbit`` per start, so any
+difference in a row is a fault of the fast path.
+"""
+
+from fractions import Fraction as F
+from math import comb
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kannanlab.census import (CensusRow, _remembered, enumerate_census,
+                              map_from_id, map_id_string, random_finite_space,
+                              tightness_scan)
+from kannanlab.conditions import (EXHAUSTIVE, ChenYeh, Fisher, IteratedKannan,
+                                  KannanK, Khan, StrictKannan,
+                                  evaluate_condition)
+from kannanlab.maps import FixedPointReached, orbit
+
+CATALOG = [
+    StrictKannan(), Fisher(), Khan(),
+    KannanK(F(0)), KannanK(F(1, 4)), KannanK(F(1, 3)), KannanK(F(2, 5)),
+    ChenYeh(F(0), F(0)), ChenYeh(F(2), F(0)), ChenYeh(F(0), F(1, 2)),
+    ChenYeh(F(0), F(2)), ChenYeh(F(1, 3), F(3)),
+    ChenYeh(F(0), F(1, 2), uniqueness_bounds=True),
+    IteratedKannan(0), IteratedKannan(1), IteratedKannan(2),
+]
+DEFAULT = [StrictKannan(), KannanK(F(1, 3)), Fisher(), Khan(), ChenYeh(F(0), F(0))]
+ITERATED = [IteratedKannan(0), IteratedKannan(1), IteratedKannan(2)]
+
+
+def reference_rows(space, conditions):
+    """One row per map from plain evaluations and one orbit per start."""
+    n = space.size
+    rows = []
+    for map_id in range(n ** n):
+        tm = map_from_id(space, map_id)
+        satisfies = tuple((c.label(), evaluate_condition(c, space, tm, EXHAUSTIVE).holds)
+                          for c in conditions)
+        limits = []
+        for start in space.labels:
+            o = orbit(tm, start, horizon=n)
+            limits.append(o.points[-1] if isinstance(o.status, FixedPointReached)
+                          else None)
+        converges = None not in limits
+        rows.append(CensusRow(
+            map_id=map_id_string(map_id, n), satisfies=satisfies,
+            fixed_point_count=sum(tm.assign[l] == l for l in space.labels),
+            picard_converges_from_all_starts=converges,
+            common_limit=limits[0] if converges and len(set(limits)) == 1 else None))
+    return rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(size=st.integers(2, 5), seed=st.integers(0, 50),
+       mode=st.sampled_from(["band", "line"]),
+       conditions=st.lists(st.sampled_from(CATALOG), min_size=1, max_size=4,
+                           unique_by=lambda c: c.label()))
+@example(size=4, seed=0, mode="band", conditions=DEFAULT)
+@example(size=4, seed=1, mode="line", conditions=ITERATED)
+@example(size=5, seed=0, mode="line", conditions=[StrictKannan(), *ITERATED[1:]])
+def test_census_rows_equal_the_plain_reference(size, seed, mode, conditions):
+    space = random_finite_space(size, seed=seed, mode=mode)
+    assert enumerate_census(space, conditions) == reference_rows(space, conditions)
+
+
+def test_pair_local_verdicts_run_at_most_once_per_pair_and_images(monkeypatch):
+    space = random_finite_space(4, seed=2, mode="line")
+    n = space.size
+    conditions = [*DEFAULT, *ITERATED]
+    calls = {id(c): 0 for c in conditions}
+    for cls in {type(c) for c in conditions}:
+        def counted(self, d, image, x, y, _inner=cls.verdict):
+            if id(self) in calls:
+                calls[id(self)] += 1
+            return _inner(self, d, image, x, y)
+        monkeypatch.setattr(cls, "verdict", counted)
+    enumerate_census(space, conditions)
+    bound = comb(n, 2) * n * n
+    for c in conditions:
+        assert calls[id(c)] > 0, c.label()
+        if c.pair_local:
+            assert calls[id(c)] <= bound, (c.label(), calls[id(c)], bound)
+    # m >= 1 reads beyond (x, y, Tx, Ty), so it is not remembered
+    assert calls[id(ITERATED[1])] > bound
+
+
+def test_only_pair_local_conditions_are_remembered():
+    assert [c.pair_local for c in ITERATED] == [True, False, False]
+    for inner, wrapped in zip(CATALOG, _remembered(CATALOG)):
+        assert (wrapped is inner) == (not inner.pair_local)
+        assert wrapped.kind == inner.kind
+        assert wrapped.label() == inner.label()
+        assert wrapped.unique_fixed_point == inner.unique_fixed_point
+        assert wrapped.picard_converges == inner.picard_converges
+
+
+def test_remembered_reports_match_plain_reports_witness_and_all():
+    space = random_finite_space(3, seed=4, mode="line")
+    remembered = _remembered(CATALOG)
+    for map_id in range(space.size ** space.size):
+        tm = map_from_id(space, map_id)
+        for inner, wrapped in zip(CATALOG, remembered):
+            plain = evaluate_condition(inner, space, tm, EXHAUSTIVE)
+            fast = evaluate_condition(wrapped, space, tm, EXHAUSTIVE)
+            assert (fast.pairs_checked, fast.violation) == (
+                plain.pairs_checked, plain.violation), (inner.label(), map_id)
+
+
+def test_tightness_scan_matches_a_plain_scan():
+    space = random_finite_space(4, seed=3)
+    strict = StrictKannan()
+    best, satisfying = None, 0
+    for map_id in range(space.size ** space.size):
+        tm = map_from_id(space, map_id)
+        if evaluate_condition(strict, space, tm, EXHAUSTIVE).holds:
+            satisfying += 1
+            for x, y in space.distinct_pairs():
+                tx, ty = tm.apply(x), tm.apply(y)
+                s = space.dist(x, tx) + space.dist(y, ty)
+                if s:
+                    ratio = 2 * space.dist(tx, ty) / s
+                    best = ratio if best is None else max(best, ratio)
+    report = tightness_scan(space)
+    assert (report.ratio, report.satisfying_maps) == (best, satisfying)

@@ -207,3 +207,30 @@ def test_json_float_or_bool_in_a_scalar_field_is_config_error(args):
     assert proc.stdout == ""
     assert proc.stderr.startswith("config error: ")
     assert "Traceback" not in proc.stderr
+
+
+TWO_POINT_TABLE = ("--map", '{"kind": "table", "assign": {"a": "a", "b": "a"}}',
+                   "--condition", STRICT)
+
+
+@pytest.mark.parametrize("fields", [
+    '"labels": 5, "d": [[0, 1], [1, 0]]',
+    '"labels": ["a", "b"], "d": 5',
+    '"labels": ["a", "b"], "d": [5, 6]',
+])
+def test_finite_space_field_that_is_not_a_list_is_config_error(fields):
+    proc = run_cli("check", "--space", '{"kind": "finite", ' + fields + "}",
+                   *TWO_POINT_TABLE)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: finite space ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ['"false"', "0", "null"])
+def test_uniqueness_bounds_must_be_a_json_boolean(value):
+    condition = '{"kind": "chen_yeh", "uniqueness_bounds": ' + value + "}"
+    proc = run_cli("check", *HALF_LINE, "--map", HALVING, "--condition", condition)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: uniqueness_bounds must be true or false")
