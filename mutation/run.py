@@ -100,6 +100,12 @@ MUTANTS = [
     ("src/kannanlab/census.py",
      "            limit = o.points[-1] if isinstance(o.status, FixedPointReached) else None",
      "            limit = o.points[-1]", None),
+    ("src/kannanlab/census.py",
+     "    weight = space.size ** (space.size - 2)",
+     "    weight = space.size ** (space.size - 1)", None),
+    ("src/kannanlab/census.py",
+     "            ratio = lhs / rhs",
+     "            ratio = lhs / rhs / 2", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

@@ -10,11 +10,11 @@ disagreement is not a test failure to shrug at — it contradicts a proved
 theorem and therefore means the implementation is broken; it raises
 :class:`TheoremContradictionError` and stops the build.
 
-Each distinct thing is computed once.  A pair-local condition is decided
-once per (pair, Tx, Ty), and each such verdict stands for the n^(n-2)
-maps that agree on the pair; the pair list is built once per space; and
-an orbit runs only from a start that no earlier orbit of the same map
-visited, since every point it visits shares its fate.
+Each distinct thing is computed once.  A pair-local verdict is decided
+once per (pair, Tx, Ty), in the census and both side scans alike, and
+stands for the n^(n-2) maps that agree on the pair; the pair list is
+built once per space; and an orbit runs only from a start no earlier
+orbit of the same map visited, since every point it visits shares its fate.
 
 Map ids are base-|X| encodings of the assignment vector, enumerated in
 numeric order, so censuses are reproducible, resumable, and mergeable
@@ -297,16 +297,14 @@ def tightness_scan(space: FiniteSpace) -> TightnessReport:
             continue
         satisfying += 1
         for x, y in space.distinct_pairs():
-            tx, ty = tm._apply(x), tm._apply(y)
-            s = space._dist(x, tx) + space._dist(y, ty)
-            if s == 0:
-                continue
-            ratio = 2 * space._dist(tx, ty) / s
+            # remembered above; rhs = 0 fixes x and y, so lhs = d(x,y) > 0 = rhs
+            _, lhs, rhs = strict.verdict(space._dist, tm._apply, x, y)
+            ratio = lhs / rhs
             if best is None or ratio > best:
                 best, best_map = ratio, map_id_string(map_id, space.size)
                 best_pair = (x, y)
     if satisfying and best is None:
-        best = Fraction(0)  # satisfying maps existed but all had lhs = 0
+        best = Fraction(0)  # a 1-point space: its one map holds with no pair
     return TightnessReport(ratio=best, map_id=best_map, pair=best_pair,
                            satisfying_maps=satisfying)
 
@@ -323,30 +321,29 @@ def khan_float_crosscheck(space: FiniteSpace,
                           boundary: Fraction = Fraction(1, 1 << 20)):
     """Compare exact geometric-mean verdicts with extended-float ones.
 
-    For every self-map and distinct pair, the exact verdict
-    lt_sqrt(d(Tx,Ty), d(x,Tx)*d(y,Ty)) is compared against the float
-    route computed in extended precision (x86 80-bit long double).
-    Pairs whose float evaluation lands within ``boundary`` of the
-    decision surface are skipped — there the float route has no claim to
-    correctness.  Returns (compared, skipped, mismatches).
+    For every distinct pair (x, y) and image pair (Tx, Ty), the exact
+    verdict lt_sqrt(d(Tx,Ty), d(x,Tx)*d(y,Ty)) is compared against the
+    float route in extended precision (x86 80-bit long double).  Keys
+    whose float evaluation lands within ``boundary`` of the decision
+    surface are skipped — there the float route has no claim to
+    correctness.  Each key stands for the n^(n-2) maps that agree on the
+    pair and is counted that often.  Returns (compared, skipped,
+    mismatches), a mismatch being the key (x, y, Tx, Ty).
     """
     margin = _longdouble(boundary)
+    d = space._dist
+    weight = space.size ** (space.size - 2)  # unused on 1 point: no pair
     compared = skipped = 0
     mismatches = []
-    pairs = space.distinct_pairs()
-    for map_id in range(space.size ** space.size):
-        tm = map_from_id(space, map_id)
-        for x, y in pairs:
-            tx, ty = tm._apply(x), tm._apply(y)
-            lhs = space._dist(tx, ty)
-            u = space._dist(x, tx) * space._dist(y, ty)
-            exact = lt_sqrt(lhs, u)
-            lhs_f = _longdouble(lhs)
-            root_f = np.sqrt(_longdouble(u))
+    for x, y in space.distinct_pairs():
+        for tx, ty in itertools.product(space.labels, repeat=2):
+            lhs = d(tx, ty)
+            u = d(x, tx) * d(y, ty)
+            lhs_f, root_f = _longdouble(lhs), np.sqrt(_longdouble(u))
             if abs(lhs_f - root_f) <= margin:
-                skipped += 1
+                skipped += weight
                 continue
-            compared += 1
-            if (lhs_f < root_f) != exact:
-                mismatches.append((map_id_string(map_id, space.size), x, y))
+            compared += weight
+            if (lhs_f < root_f) != lt_sqrt(lhs, u):
+                mismatches.append((x, y, tx, ty))
     return compared, skipped, mismatches

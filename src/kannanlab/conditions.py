@@ -449,6 +449,9 @@ def kannan_ratio(space: Space, m: SelfMap,
     best: Optional[Fraction] = None
     for x, y in pair_list:
         x, y = member(x), member(y)
+        if x == y:
+            raise ValueError(f"pair points must be distinct, got "
+                             f"({point_text(x)}, {point_text(y)})")
         tx, ty = image(x), image(y)
         s = d(x, tx) + d(y, ty)
         if s == 0:

@@ -4,7 +4,9 @@
 (x, y, Tx, Ty) and runs an orbit only from unvisited starts.  The
 reference here does neither: every map runs plain ``evaluate_condition``
 on the unwrapped conditions and one ``orbit`` per start, so any
-difference in a row is a fault of the fast path.
+difference in a row is a fault of the fast path.  The two side scans,
+``tightness_scan`` and ``khan_float_crosscheck``, are checked the same
+way against per-map loops.
 """
 
 from fractions import Fraction as F
@@ -13,13 +15,19 @@ from math import comb
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+import pytest
+
+import kannanlab.census
 from kannanlab.census import (CensusRow, _remembered, enumerate_census,
-                              map_from_id, map_id_string, random_finite_space,
+                              khan_float_crosscheck, map_from_id,
+                              map_id_string, random_finite_space,
                               tightness_scan)
 from kannanlab.conditions import (EXHAUSTIVE, ChenYeh, Fisher, IteratedKannan,
                                   KannanK, Khan, StrictKannan,
                                   evaluate_condition)
 from kannanlab.maps import FixedPointReached, orbit
+from kannanlab.spaces import FiniteSpace
 
 CATALOG = [
     StrictKannan(), Fisher(), Khan(),
@@ -127,3 +135,91 @@ def test_tightness_scan_matches_a_plain_scan():
                     best = ratio if best is None else max(best, ratio)
     report = tightness_scan(space)
     assert (report.ratio, report.satisfying_maps) == (best, satisfying)
+
+
+def reference_tightness(space):
+    """The plain tightness scan: every satisfying map, every pair's ratio."""
+    best = best_map = best_pair = None
+    satisfying = 0
+    for map_id in range(space.size ** space.size):
+        tm = map_from_id(space, map_id)
+        if not evaluate_condition(StrictKannan(), space, tm, EXHAUSTIVE).holds:
+            continue
+        satisfying += 1
+        for x, y in space.distinct_pairs():
+            tx, ty = tm.apply(x), tm.apply(y)
+            ratio = 2 * space.dist(tx, ty) / (space.dist(x, tx) + space.dist(y, ty))
+            if best is None or ratio > best:
+                best, best_pair = ratio, (x, y)
+                best_map = map_id_string(map_id, space.size)
+    return best, best_map, best_pair, satisfying
+
+
+@pytest.mark.parametrize("mode", ["band", "line"])
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_tightness_reports_equal_the_plain_scan(size, mode):
+    for seed in range(3):
+        space = random_finite_space(size, seed=seed, mode=mode)
+        report = tightness_scan(space)
+        assert (report.ratio, report.map_id, report.pair,
+                report.satisfying_maps) == reference_tightness(space), seed
+
+
+def test_tightness_scan_on_one_point():
+    # the one map fixes the one point and holds with no pair to bound
+    report = tightness_scan(FiniteSpace(labels=("a",), matrix=((0,),)))
+    assert report.ratio == 0
+    assert (report.map_id, report.pair, report.satisfying_maps) == (None, None, 1)
+
+
+def reference_khan_crosscheck(space, boundary=F(1, 1 << 20)):
+    """Every map and pair on its own, mismatches as (map id, x, y)."""
+    def longdouble(q):
+        return np.longdouble(q.numerator) / np.longdouble(q.denominator)
+    margin = longdouble(boundary)
+    compared = skipped = 0
+    mismatches = []
+    for map_id in range(space.size ** space.size):
+        tm = map_from_id(space, map_id)
+        for x, y in space.distinct_pairs():
+            tx, ty = tm.apply(x), tm.apply(y)
+            lhs = space.dist(tx, ty)
+            u = space.dist(x, tx) * space.dist(y, ty)
+            exact = kannanlab.census.lt_sqrt(lhs, u)  # a patch applies here too
+            lhs_f, root_f = longdouble(lhs), np.sqrt(longdouble(u))
+            if abs(lhs_f - root_f) <= margin:
+                skipped += 1
+                continue
+            compared += 1
+            if (lhs_f < root_f) != exact:
+                mismatches.append((map_id, x, y))
+    return compared, skipped, mismatches
+
+
+@pytest.mark.parametrize("mode", ["band", "line"])
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_khan_crosscheck_counts_equal_the_per_map_loop(size, mode):
+    for seed in range(3):
+        space = random_finite_space(size, seed=seed, mode=mode)
+        assert khan_float_crosscheck(space) == reference_khan_crosscheck(space)
+    # a boundary that skips some keys and compares others
+    space = random_finite_space(size, seed=0, mode=mode)
+    half = F(1, 2)
+    assert khan_float_crosscheck(space, half) == reference_khan_crosscheck(space, half)
+
+
+def test_khan_crosscheck_lists_each_mismatched_key_once(monkeypatch):
+    exact = kannanlab.census.lt_sqrt
+    monkeypatch.setattr(kannanlab.census, "lt_sqrt", lambda a, u: not exact(a, u))
+    space = random_finite_space(4, seed=1, mode="line")
+    n = space.size
+    compared, skipped, mismatches = khan_float_crosscheck(space)
+    ref_compared, ref_skipped, per_map = reference_khan_crosscheck(space)
+    assert (compared, skipped) == (ref_compared, ref_skipped)
+    assert len(per_map) == compared  # the negated route disagrees everywhere
+    assert len(mismatches) == len(set(mismatches)) == compared // n ** (n - 2)
+    keys = set()
+    for map_id, x, y in per_map:
+        tm = map_from_id(space, map_id)
+        keys.add((x, y, tm.apply(x), tm.apply(y)))
+    assert set(mismatches) == keys

@@ -238,6 +238,18 @@ def test_kannan_ratio_examples():
     assert kannan_ratio(fs, ident, EXHAUSTIVE) is None  # zero displacement
 
 
+def test_kannan_ratio_rejects_equal_pair_like_evaluate():
+    space = HalfLineUsual()
+    halving = Scale(space, F(1, 2))
+    # (1, 1) is no pair, and the int 1 is the same point as the Fraction 1
+    for pairs in ([(F(1), F(1))], [(F(1), 1)]):
+        with pytest.raises(ValueError, match="pair points must be distinct") as ratio:
+            kannan_ratio(space, halving, pairs)
+        with pytest.raises(ValueError) as evaluated:
+            evaluate_condition(StrictKannan(), space, halving, pairs)
+        assert str(ratio.value) == str(evaluated.value)
+
+
 def test_load_condition_round_trip():
     for spec in ({"kind": "strict_kannan"}, {"kind": "fisher"},
                  {"kind": "khan"}, {"kind": "kannan_k", "k": "1/3"},
