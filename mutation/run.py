@@ -106,6 +106,18 @@ MUTANTS = [
     ("src/kannanlab/census.py",
      "            ratio = lhs / rhs",
      "            ratio = lhs / rhs / 2", None),
+    ("src/kannanlab/completeness.py",
+     "    return ((f > c)",
+     "    return ((f >= c)", None),
+    ("src/kannanlab/completeness.py",
+     "            | ((f == c) & ((r1 > 0) | (r2 > 0)))",
+     "            | (f == c)", None),
+    ("src/kannanlab/completeness.py",
+     "            | ((f == c - 1) & (r1 * b + r2 * a > a * b)))",
+     "            | False)", None),
+    ("src/kannanlab/completeness.py",
+     "    lambda k: _reciprocal_intermediate_bound(k) > np.iinfo(np.int64).max, start=1) - 1",
+     "    lambda k: _reciprocal_intermediate_bound(k) > np.iinfo(np.int64).max, start=1)", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

@@ -79,10 +79,12 @@ def _parse_point(space, text: str):
 
 def build_gallery(gornicki_n: int, prefix: int) -> dict:
     """Run every catalog example end to end and collect verdicts."""
-    # refuse a bad size before any section runs
+    # refuse a bad size before any section runs: verify_counterexample
+    # refuses its prefix before its first row
     check_gornicki_n(gornicki_n)
-    if prefix < 1:
-        raise ValueError("prefix must be >= 1")
+    witness = build_reciprocal_witness()
+    cmap = construct_counterexample_map(witness)
+    verification = verify_counterexample(cmap, prefix)
     sections = []
 
     half_line = HalfLineUsual()
@@ -152,9 +154,6 @@ def build_gallery(gornicki_n: int, prefix: int) -> dict:
         "details": answer.to_json(),
     })
 
-    witness = build_reciprocal_witness()
-    cmap = construct_counterexample_map(witness)
-    verification = verify_counterexample(cmap, prefix)
     scan_count = 10_000
     fixed_free_scan = scan_fixed_point_free(cmap, scan_count)
     sections.append({

@@ -20,7 +20,9 @@ packages the sequence together with two *certified* bounds:
 The bounds are supplied analytically per witness and spot-checked on
 prefixes; an infinite inf/sup is never computed.  Target indices are the
 *least* ones meeting the required bound (the construction only needs
-existence; least-index selection makes it deterministic).
+existence; least-index selection makes it deterministic).  On the
+reciprocal set {1/n}, every pair of a prefix is decided exactly on int64
+rows of the denominators, with a Fraction cross-check on a pair sample.
 
 The module also hosts the positive-integer gallery check: x -> 3x on the
 1 + |1/x - 1/y| metric is continuous and fixed point free on a complete
@@ -35,13 +37,13 @@ are verified exhaustively in exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from .conditions import ConditionReport, StrictKannan, evaluate_condition, sample_pairs
+from .conditions import ConditionReport, StrictKannan, evaluate_condition
 from .maps import SelfMap, TripleNat
 from .spaces import GornickiNat, ReciprocalSet, Space, TheoremContradictionError
 
@@ -241,19 +243,148 @@ class CounterexampleReport:
 def verify_counterexample(cm: ConstructedMap, prefix: int) -> CounterexampleReport:
     """Exhaustive strict-Kannan check over the first ``prefix`` terms.
 
+    Every term of ``ReciprocalSet`` is 1/k and every image 1/k'; the
+    denominators are read once, through ``check_member`` and ``_apply``,
+    and all C(prefix, 2) pairs are decided on int64 rows of them
+    (``_strict_kannan_row``).  The rows are exact while no denominator
+    exceeds ``_RECIPROCAL_SAFE_K`` (2^31 - 1, prefix 32,767 for the stock
+    witness); a larger one is refused with ValueError before the first
+    row.  A deterministic sample of the pairs (``_cross_check_sample``) is
+    decided again by :func:`evaluate_condition` in Fraction arithmetic,
+    an independent route: a disagreement raises
+    TheoremContradictionError, and the report's violation witness is the
+    Fraction one.  A witness on any other space is refused with
+    ValueError.
+
     Also re-verifies that none of those terms is fixed: targets have
     strictly larger indices and terms are distinct.
     """
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
     w = cm.witness
-    terms = [w.term(n) for n in range(1, prefix + 1)]
-    report = evaluate_condition(StrictKannan(), w.space, cm, sample_pairs(terms))
-    fixed_free = all(cm.apply(t) != t for t in terms)
+    if not isinstance(w.space, ReciprocalSet):
+        raise ValueError(f"the counterexample rows need a witness on "
+                         f"reciprocal_set, not on {w.space.kind}")
+    # the stock witness's largest denominator is the last image: a prefix
+    # past the bound is refused before the prefix is built
+    last = w.space.check_member(w.term(prefix))
+    check_reciprocal_denominator(cm._apply(last).denominator)
+    terms, images = [], []
+    for n in range(1, prefix + 1):
+        terms.append(w.space.check_member(w.term(n)))
+        images.append(cm._apply(terms[-1]))
+    k = [t.denominator for t in terms]
+    k_img = [t.denominator for t in images]
+    if len(set(k)) != prefix:
+        raise ValueError("the witness terms of the prefix must be distinct")
+    check_reciprocal_denominator(max(k + k_img))
+    checked, stop = _scan_reciprocal_rows(np.array(k, dtype=np.int64),
+                                          np.array(k_img, dtype=np.int64))
+
+    sample = _cross_check_sample(prefix, stop)
+    cross = evaluate_condition(StrictKannan(), w.space, cm,
+                               [(terms[i], terms[j]) for i, j in sample])
+    # the Fraction route must hold on every sampled pair, or fail first
+    # on the last one, which is the rows' first violation
+    if (cross.pairs_checked, cross.holds) != (len(sample), stop is None):
+        raise TheoremContradictionError(
+            f"the int64 rows and the Fraction route disagree on the prefix "
+            f"{prefix}: rows {'hold' if stop is None else f'fail first at {stop}'}, "
+            f"Fraction {'holds' if cross.holds else 'fails'} after "
+            f"{cross.pairs_checked} of {len(sample)} sampled pairs")
+    report = replace(cross, pairs_checked=checked,
+                     pair_source={"kind": "sample", "pairs": prefix * (prefix - 1) // 2,
+                                  "seed": None})
+    fixed_free = all(img != t for t, img in zip(terms, images))
     return CounterexampleReport(prefix=prefix,
                                 condition_report=report,
                                 fixed_point_free=fixed_free,
                                 constructions=tuple(cm.construction_entries(prefix)))
+
+
+def _strict_kannan_row(a, a_img, b, b_img) -> np.ndarray:
+    """Which pairs (1/a, 1/b) of a row hold the strict Kannan inequality.
+
+    The map sends 1/a to 1/a' and each 1/b to 1/b'.  Multiplied by
+    2a'b', 2|1/a' - 1/b'| < |1/a - 1/a'| + |1/b - 1/b'| reads
+    u/a + v/b > c with u = |a'-a|b', v = |b'-b|a' and c = 2|b'-a'|.
+    With u = f1*a + r1 and v = f2*b + r2, u/a + v/b = f + r1/a + r2/b
+    where f = f1 + f2 and 0 <= r1/a + r2/b < 2, so the pair holds iff
+    f > c, or f = c and a remainder is positive, or f = c - 1 and
+    r1/a + r2/b > 1.  Exact while no value overflows; see
+    ``_reciprocal_intermediate_bound``.
+    """
+    u = np.abs(a_img - a) * b_img
+    v = np.abs(b_img - b) * a_img
+    c = 2 * np.abs(b_img - a_img)
+    f1, r1 = np.divmod(u, a)
+    f2, r2 = np.divmod(v, b)
+    f = f1 + f2
+    return ((f > c)
+            | ((f == c) & ((r1 > 0) | (r2 > 0)))
+            | ((f == c - 1) & (r1 * b + r2 * a > a * b)))
+
+
+def _scan_reciprocal_rows(k, k_img):
+    """Run ``_strict_kannan_row`` over rows i = 0..len(k)-2 against j > i.
+
+    Returns (pairs checked, (i, j) of the first violating pair in pair
+    order, or None): the scan stops at that pair, as evaluate_condition does.
+    """
+    checked = 0
+    for i in range(len(k) - 1):
+        holds = _strict_kannan_row(k[i], k_img[i], k[i + 1:], k_img[i + 1:])
+        if not holds.all():
+            j = i + 1 + int(np.argmin(holds))
+            return checked + j - i, (i, j)
+        checked += holds.size
+    return checked, None
+
+
+def _reciprocal_intermediate_bound(k_max: int) -> int:
+    """An upper bound on every value ``_strict_kannan_row`` forms, exactly.
+
+    With every denominator at most k_max: u = |a'-a|b' and v = |b'-b|a'
+    are below k_max^2, so f = f1 + f2 <= u + v and r1*b + r2*a < 2ab are
+    below 2 k_max^2; a*b, c = 2|b'-a'| and the remainders are smaller.
+    """
+    return 2 * k_max * k_max
+
+
+# The largest denominator the int64 rows decide exactly: 2^31 - 1, which
+# the stock witness's images pass at prefix 32,768 (k' = 2n(n+1) + 1).
+_RECIPROCAL_SAFE_K = _least_index(
+    lambda k: _reciprocal_intermediate_bound(k) > np.iinfo(np.int64).max, start=1) - 1
+
+
+def check_reciprocal_denominator(k_max: int) -> None:
+    """Refuse a prefix whose largest denominator passes ``_RECIPROCAL_SAFE_K``."""
+    if k_max > _RECIPROCAL_SAFE_K:
+        raise ValueError(f"the prefix reaches the denominator {k_max}, past "
+                         f"{_RECIPROCAL_SAFE_K}, the largest the int64 rows "
+                         "decide exactly")
+
+
+def _cross_check_sample(prefix: int, stop=None) -> list[tuple[int, int]]:
+    """The index pairs i < j the Fraction route decides again, in pair order.
+
+    Every pair up to prefix 100, else every s-th pair in pair order (about
+    1000 of them) and the last pair.  When the rows stopped at the pair
+    ``stop``, only the sampled pairs before it, then ``stop`` itself.
+    """
+    total = prefix * (prefix - 1) // 2
+    step = 1 if prefix <= 100 else total // 1000
+    sample, start = [], 0
+    for i in range(prefix - 1):
+        end = start + prefix - 1 - i
+        first = -(-start // step) * step  # the first multiple of step in the row
+        sample += [(i, i + 1 + p - start) for p in range(first, end, step)]
+        start = end
+    if sample and sample[-1] != (prefix - 2, prefix - 1):
+        sample.append((prefix - 2, prefix - 1))
+    if stop is not None:
+        sample = [pair for pair in sample if pair < stop] + [stop]
+    return sample
 
 
 def scan_fixed_point_free(cm: ConstructedMap, count: int) -> bool:
