@@ -118,6 +118,21 @@ MUTANTS = [
     ("src/kannanlab/completeness.py",
      "    lambda k: _reciprocal_intermediate_bound(k) > np.iinfo(np.int64).max, start=1) - 1",
      "    lambda k: _reciprocal_intermediate_bound(k) > np.iinfo(np.int64).max, start=1)", None),
+    ("src/kannanlab/completeness.py",
+     "        return 2 * n * (n + 1) + 1",
+     "        return 2 * n * (n + 1)", None),
+    ("src/kannanlab/completeness.py",
+     "            and (t - 1 == n0 or not w.tail_bound(t - 1) < half_gap))",
+     "            )", None),
+    ("src/kannanlab/completeness.py",
+     "        if (n - 1) % step == 0 or n == count:",
+     "        if (n - 1) % step == 0:", None),
+    ("src/kannanlab/completeness.py",
+     "        if w.term_index(w.term(n)) != n:\n            return False\n",
+     "", None),
+    ("src/kannanlab/completeness.py",
+     "        if not t > n0:",
+     "        if not t >= n0:", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

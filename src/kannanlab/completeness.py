@@ -18,9 +18,13 @@ packages the sequence together with two *certified* bounds:
   sup of d(x_m, x_m') over m, m' >= N.
 
 The bounds are supplied analytically per witness and spot-checked on
-prefixes; an infinite inf/sup is never computed.  Target indices are the
-*least* ones meeting the required bound (the construction only needs
-existence; least-index selection makes it deterministic).  On the
+prefixes; an infinite inf/sup is never computed.  Each witness also
+supplies ``target(n)`` in closed form: the *least* n' > n with
+tail_bound(n') < gap_lower_bound(n)/2 (the construction only needs
+existence; least-index selection makes it deterministic).  Every target
+served is checked to lie deeper than its source, and its leastness is
+checked exactly against the two Fraction bounds on a deterministic
+sample; either failure raises TheoremContradictionError.  On the
 reciprocal set {1/n}, every pair of a prefix is decided exactly on int64
 rows of the denominators, with a Fraction cross-check on a pair sample.
 
@@ -57,10 +61,12 @@ class IncompleteWitness:
     """A non-convergent Cauchy sequence with certified distance bounds.
 
     ``term(n)`` is x_n for n >= 1, all terms distinct.  ``term_index``
-    inverts term on sequence members (None off the sequence);
-    ``off_sequence_gap`` certifies a positive lower bound on the distance
-    from an off-sequence point to the whole sequence, when the space has
-    such points at all.
+    inverts term on sequence members (None off the sequence).
+    ``target(n)`` is the closed form of the least n' > n with
+    tail_bound(n') < gap_lower_bound(n)/2, which the tail map sends x_n
+    to.  ``off_sequence_gap`` certifies a positive lower bound on the
+    distance from an off-sequence point to the whole sequence, when the
+    space has such points at all.
     """
 
     space: Space
@@ -68,6 +74,7 @@ class IncompleteWitness:
     gap_lower_bound: Callable[[int], Fraction]
     tail_bound: Callable[[int], Fraction]
     term_index: Callable[[Fraction], Optional[int]]
+    target: Callable[[int], int]
     off_sequence_gap: Optional[Callable[[Fraction], Fraction]] = None
 
 
@@ -78,7 +85,8 @@ def build_reciprocal_witness() -> IncompleteWitness:
     branch of the construction is never exercised here.  The certified
     bounds are closed forms: the nearest neighbour of 1/n is 1/(n+1),
     giving gap_lower_bound(n) = 1/(n(n+1)); and all points beyond index N
-    lie in (0, 1/N], giving tail_bound(N) = 1/N.
+    lie in (0, 1/N], giving tail_bound(N) = 1/N.  The least n' with
+    1/n' < 1/(2n(n+1)) is then target(n) = 2n(n+1) + 1.
     """
     space = ReciprocalSet()
 
@@ -96,18 +104,23 @@ def build_reciprocal_witness() -> IncompleteWitness:
     def term_index(p: Fraction) -> Optional[int]:
         return p.denominator if p.numerator == 1 else None
 
+    def target(n: int) -> int:
+        return 2 * n * (n + 1) + 1
+
     return IncompleteWitness(space=space, term=term,
                              gap_lower_bound=gap_lower_bound,
                              tail_bound=tail_bound,
-                             term_index=term_index)
+                             term_index=term_index,
+                             target=target)
 
 
 def spot_check_witness(w: IncompleteWitness, prefix: int) -> bool:
     """Numerically spot-check the certified bounds on a finite prefix.
 
     Confirms distinct terms, gap_lower_bound(n) at or below the observed
-    minimum distance within the first 2*prefix indices, and tail_bound(N)
-    nonincreasing and at or above observed tail spreads.
+    minimum distance within the first 2*prefix indices, tail_bound(N)
+    nonincreasing and at or above observed tail spreads, and target(n)
+    the least admissible index for every n <= prefix.
     """
     terms = [w.term(n) for n in range(1, 2 * prefix + 1)]
     if len(set(terms)) != len(terms):
@@ -133,7 +146,22 @@ def spot_check_witness(w: IncompleteWitness, prefix: int) -> bool:
                      for j in range(i + 1, len(terms)))
         if spread > tb:
             return False
-    return True
+    return all(_target_is_least(w, n, w.target(n)) for n in range(1, prefix + 1))
+
+
+def _target_is_least(w: IncompleteWitness, n0: int, t: int) -> bool:
+    """Whether t is the least n > n0 with tail_bound(n) < gap_lower_bound(n0)/2.
+
+    Two predicate calls, in Fraction arithmetic: the bound holds at the
+    target and fails one index before it (or that index is n0 itself).
+    Under a nonincreasing tail_bound the admissible indices are upward
+    closed, so this is the index ``_least_index`` would gallop to.
+    """
+    half_gap = w.gap_lower_bound(n0) / 2
+    if half_gap <= 0:
+        raise ValueError(f"witness gap bound is not positive at n={n0}")
+    return (t > n0 and w.tail_bound(t) < half_gap
+            and (t - 1 == n0 or not w.tail_bound(t - 1) < half_gap))
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +172,12 @@ class ConstructedMap(SelfMap):
     """The two-branch tail map built from a witness.
 
     A sequence term x_{n0} goes to x_{n'} for the least n' > n0 with
-    tail_bound(n') < gap_lower_bound(n0) / 2; an off-sequence point x goes
-    to x_{n_x} for the least n_x with tail_bound(n_x) <
-    off_sequence_gap(x) / 2.  Targets always sit strictly deeper in the
-    sequence than their sources, and terms are distinct, so the map has no
-    fixed point.
+    tail_bound(n') < gap_lower_bound(n0) / 2, read from the witness's
+    closed form ``target``; an off-sequence point x goes to x_{n_x} for
+    the least n_x with tail_bound(n_x) < off_sequence_gap(x) / 2.
+    Targets sit strictly deeper in the sequence than their sources by
+    construction, and ``target_index`` enforces it on every target it
+    serves; with distinct terms, the map has no fixed point.
     """
 
     kind = "constructed_counterexample"
@@ -156,20 +185,30 @@ class ConstructedMap(SelfMap):
     def __init__(self, witness: IncompleteWitness):
         self.space = witness.space
         self.witness = witness
-        self._targets: dict[int, int] = {}
 
     def target_index(self, n0: int) -> int:
-        """Least admissible target index for the source term x_{n0}."""
-        cached = self._targets.get(n0)
-        if cached is not None:
-            return cached
-        half_gap = self.witness.gap_lower_bound(n0) / 2
-        if half_gap <= 0:
-            raise ValueError(f"witness gap bound is not positive at n={n0}")
-        idx = _least_index(lambda n: n > n0 and self.witness.tail_bound(n) < half_gap,
-                           start=n0 + 1)
-        self._targets[n0] = idx
-        return idx
+        """The target index of the source term x_{n0}: the witness's closed form.
+
+        It lies deeper than n0 by construction, and a target that does
+        not raises TheoremContradictionError, so target != source is
+        enforced on every call.  Its leastness is checked apart, by
+        ``check_target_is_least``.
+        """
+        t = self.witness.target(n0)
+        if not t > n0:
+            raise TheoremContradictionError(
+                f"the witness's target {t} for the source index {n0} does not "
+                "lie deeper in the sequence")
+        return t
+
+    def check_target_is_least(self, n0: int) -> None:
+        """Raise TheoremContradictionError unless target_index(n0) is the least
+        admissible index, decided through the witness's Fraction bounds."""
+        t = self.target_index(n0)
+        if not _target_is_least(self.witness, n0, t):
+            raise TheoremContradictionError(
+                f"the witness's target {t} for the source index {n0} is not the "
+                f"least n > {n0} with tail_bound(n) < gap_lower_bound({n0})/2")
 
     def _image(self, p):
         n0 = self.witness.term_index(p)
@@ -213,10 +252,10 @@ def _least_index(satisfied: Callable[[int], bool], start: int) -> int:
 
 
 def construct_counterexample_map(w: IncompleteWitness) -> ConstructedMap:
-    """Build the tail map and sanity-check the first two targets exist."""
+    """Build the tail map and check its first two targets are the least ones."""
     cm = ConstructedMap(w)
-    cm.target_index(1)
-    cm.target_index(2)
+    cm.check_target_is_least(1)
+    cm.check_target_is_least(2)
     return cm
 
 
@@ -387,19 +426,41 @@ def _cross_check_sample(prefix: int, stop=None) -> list[tuple[int, int]]:
     return sample
 
 
+# The largest --scan count: about 1.5 us per term in flat memory (31 MB
+# max RSS for the CLI), so about 15 s at the cap, measured on a 2-core Xeon.
+MAX_SCAN = 10 ** 7
+
+
 def scan_fixed_point_free(cm: ConstructedMap, count: int) -> bool:
     """True iff none of the first ``count`` sequence terms is fixed.
 
-    Uses the index rule directly (target index != source index plus
-    distinctness of terms), so large counts stay cheap.
+    Uses the index rule directly, one term at a time in O(1) memory: x_n
+    is fixed iff its target index equals n, which cannot happen, since
+    every target lies deeper than its source by construction and
+    ``target_index`` enforces it (TheoremContradictionError otherwise).
+    ``term_index(term(n)) == n`` is checked for each n, which proves the
+    terms distinct (term_index is a left inverse); a repeat returns False.
+    Target leastness is checked against the witness's Fraction bounds
+    (``check_target_is_least``) on a deterministic sample: every
+    (count // 1000)-th n from n = 1 (every n below count 2000), and the
+    last.  A count outside 1..``MAX_SCAN`` is refused with ValueError
+    before the first term.
     """
     if count < 1:
         raise ValueError("scan count must be >= 1")
+    if count > MAX_SCAN:
+        raise ValueError(f"scan count {count} exceeds {MAX_SCAN}, the largest "
+                         "scan allowed")
     w = cm.witness
-    terms = [w.term(n) for n in range(1, count + 1)]
-    if len(set(terms)) != len(terms):
-        return False
-    return all(cm.target_index(n) != n for n in range(1, count + 1))
+    step = max(1, count // 1000)
+    for n in range(1, count + 1):
+        if w.term_index(w.term(n)) != n:
+            return False
+        if (n - 1) % step == 0 or n == count:
+            cm.check_target_is_least(n)
+        else:
+            cm.target_index(n)
+    return True
 
 
 # ---------------------------------------------------------------------------

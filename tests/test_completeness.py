@@ -104,7 +104,7 @@ def test_off_sequence_branch_requires_certified_bound():
     blind = type(w)(space=w.space, term=w.term,
                     gap_lower_bound=w.gap_lower_bound,
                     tail_bound=w.tail_bound,
-                    term_index=lambda p: None)
+                    term_index=lambda p: None, target=w.target)
     with pytest.raises(ValueError, match="off-sequence"):
         ConstructedMap(blind).apply(F(1, 3))
 
@@ -119,7 +119,7 @@ def test_off_sequence_branch_with_certified_bound():
                       gap_lower_bound=w.gap_lower_bound,
                       tail_bound=w.tail_bound,
                       term_index=lambda p: None if p == F(1, 3) else p.denominator,
-                      off_sequence_gap=lambda p: F(1, 12))
+                      target=w.target, off_sequence_gap=lambda p: F(1, 12))
     image = ConstructedMap(shifted).apply(F(1, 3))
     # least n with 1/n < 1/24 is 25
     assert image == F(1, 25)

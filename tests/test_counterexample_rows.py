@@ -232,7 +232,8 @@ def test_witness_off_the_reciprocal_set_is_refused():
     w = build_reciprocal_witness()
     elsewhere = IncompleteWitness(space=HalfLineUsual(), term=w.term,
                                   gap_lower_bound=w.gap_lower_bound,
-                                  tail_bound=w.tail_bound, term_index=w.term_index)
+                                  tail_bound=w.tail_bound, term_index=w.term_index,
+                                  target=w.target)
     with pytest.raises(ValueError, match="reciprocal_set"):
         verify_counterexample(ConstructedMap(elsewhere), 5)
 
@@ -241,6 +242,7 @@ def test_repeated_terms_are_refused():
     w = build_reciprocal_witness()
     repeating = IncompleteWitness(space=w.space, term=lambda n: F(1, 1 + n % 3),
                                   gap_lower_bound=w.gap_lower_bound,
-                                  tail_bound=w.tail_bound, term_index=w.term_index)
+                                  tail_bound=w.tail_bound, term_index=w.term_index,
+                                  target=w.target)
     with pytest.raises(ValueError, match="distinct"):
         verify_counterexample(ConstructedMap(repeating), 5)
