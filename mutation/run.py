@@ -133,6 +133,15 @@ MUTANTS = [
     ("src/kannanlab/completeness.py",
      "        if not t > n0:",
      "        if not t >= n0:", None),
+    ("src/kannanlab/conditions.py",
+     "        if self.m > MAX_HORIZON:",
+     "        if self.m >= MAX_HORIZON:", None),
+    ("src/kannanlab/conditions.py",
+     "        if self.m > MAX_HORIZON:",
+     "        if self.m > MAX_HORIZON + 1:", None),
+    ("src/kannanlab/census.py",
+     "    def to_json(self) -> dict:\n        return self.inner.to_json()\n\n",
+     "", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

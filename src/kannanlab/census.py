@@ -17,8 +17,7 @@ built once per space; and an orbit runs only from a start no earlier
 orbit of the same map visited, since every point it visits shares its fate.
 
 Map ids are base-|X| encodings of the assignment vector, enumerated in
-numeric order, so censuses are reproducible, resumable, and mergeable
-after parallel partitioning.
+numeric order, so censuses are reproducible.
 """
 
 from __future__ import annotations
@@ -26,12 +25,10 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from multiprocessing import Pool
 from typing import Optional, Sequence
 
 import numpy as np
@@ -188,6 +185,9 @@ class _RememberedVerdicts(Condition):
     def label(self) -> str:
         return self._label
 
+    def to_json(self) -> dict:
+        return self.inner.to_json()
+
     def verdict(self, d, image, x, y):
         tx, ty = image(x), image(y)  # the pair's own images come first
         key = (x, y, tx, ty)
@@ -204,50 +204,24 @@ def _remembered(conditions: Sequence[Condition]) -> tuple[Condition, ...]:
     return tuple(_RememberedVerdicts(c) if c.pair_local else c for c in conditions)
 
 
-def _classify_range(args) -> list[CensusRow]:
-    space, conditions, start, stop = args
-    # built here, in the worker, so nothing new is pickled
-    remembered = _remembered(conditions)
-    rows = []
-    for map_id in range(start, stop):
-        row = classify_map(space, map_id, remembered)
-        _check_row_against_theorems(row, conditions)
-        rows.append(row)
-    return rows
-
-
 def enumerate_census(space: FiniteSpace,
-                     conditions: Sequence[Condition] = (StrictKannan(),),
-                     workers: int = 1) -> list[CensusRow]:
+                     conditions: Sequence[Condition] = (StrictKannan(),)
+                     ) -> list[CensusRow]:
     """One row per self-map, in numeric map-id order, each checked against
     the theorems of the conditions it satisfies.
-
-    Partitioning across workers changes nothing in the output: ranges are
-    classified independently and merged back in id order.
     """
     n = space.size
     total = n ** n
     if total > MAX_CENSUS_MAPS:
         raise ValueError(f"{n}^{n} = {total} self-maps exceeds the census cap")
     conditions = tuple(conditions)
-    # a chunk holds at least one map, so there are at most ``total`` chunks
-    workers = pool_size(workers, os.cpu_count(), total)
-    if workers == 1:
-        return _classify_range((space, conditions, 0, total))
-    chunk = -(-total // (workers * 4))
-    ranges = [(space, conditions, lo, min(lo + chunk, total))
-              for lo in range(0, total, chunk)]
-    with Pool(workers) as pool:
-        parts = pool.map(_classify_range, ranges)
-    return [row for part in parts for row in part]
-
-
-def pool_size(workers: int, cpus: Optional[int], chunks: int) -> int:
-    """Processes worth starting: at most one per CPU and one per chunk, at least 1.
-
-    ``cpus`` is ``os.cpu_count()``, which may be None (then 1 is assumed).
-    """
-    return max(1, min(workers, cpus or 1, chunks))
+    remembered = _remembered(conditions)
+    rows = []
+    for map_id in range(total):
+        row = classify_map(space, map_id, remembered)
+        _check_row_against_theorems(row, conditions)
+        rows.append(row)
+    return rows
 
 
 def census_csv(rows: Sequence[CensusRow],

@@ -276,9 +276,8 @@ def cmd_census(args) -> tuple[int, str]:
     condition_spec = (_load_json_arg(args.conditions)
                       if args.conditions else _DEFAULT_CENSUS_CONDITIONS)
     conditions = [load_condition(c) for c in condition_spec]
-    rows = enumerate_census(space, conditions, workers=args.workers)
-    # the embedded config holds exactly what determines the rows; worker
-    # count is an execution detail and must not break byte-identity
+    rows = enumerate_census(space, conditions)
+    # the embedded config holds exactly what determines the rows
     config = {"command": "census", "size": args.size, "seed": args.seed,
               "mode": args.mode, "conditions": condition_spec}
     if args.format == "json":
@@ -364,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["band", "line"], default="band")
     p.add_argument("--conditions", help="JSON list of condition definitions")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted; has no effect (the census runs serially)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_census)

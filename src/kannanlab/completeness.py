@@ -223,10 +223,6 @@ class ConstructedMap(SelfMap):
         idx = _least_index(lambda n: self.witness.tail_bound(n) < half, start=1)
         return self.witness.term(idx)
 
-    def construction_entries(self, prefix: int) -> list[tuple[int, int]]:
-        """(source index, target index) for the first ``prefix`` terms."""
-        return [(n, self.target_index(n)) for n in range(1, prefix + 1)]
-
 
 def _least_index(satisfied: Callable[[int], bool], start: int) -> int:
     """Least n >= start with satisfied(n), for upward-closed predicates.
@@ -338,7 +334,8 @@ def verify_counterexample(cm: ConstructedMap, prefix: int) -> CounterexampleRepo
     return CounterexampleReport(prefix=prefix,
                                 condition_report=report,
                                 fixed_point_free=fixed_free,
-                                constructions=tuple(cm.construction_entries(prefix)))
+                                constructions=tuple((n, cm.target_index(n))
+                                                  for n in range(1, prefix + 1)))
 
 
 def _strict_kannan_row(a, a_img, b, b_img) -> np.ndarray:

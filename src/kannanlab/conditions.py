@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .rationals import HALF, as_scalar, json_scalar, lt_sqrt, scalar_text
 from .maps import SelfMap
+from .picard import MAX_HORIZON
 from .spaces import FiniteSpace, Space, point_text
 
 
@@ -218,6 +219,8 @@ class IteratedKannan(Condition):
     d(T^{m+1}x, T^{m+1}y) < (d(T^m x, T^{m+1}x) + d(T^m y, T^{m+1}y)) / 2.
 
     m = 0 coincides with the plain strict condition (T^0 = identity).
+    Every pair walks m steps from each point, so m is capped at
+    ``picard.MAX_HORIZON``, the cap on an orbit's length.
     """
 
     m: int
@@ -228,6 +231,8 @@ class IteratedKannan(Condition):
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 0:
             raise ValueError("iteration shift m must be an integer >= 0")
+        if self.m > MAX_HORIZON:
+            raise ValueError(f"iteration shift m capped at {MAX_HORIZON}, got {self.m}")
 
     @property
     def pair_local(self) -> bool:
@@ -324,7 +329,7 @@ class Violated:
     y: object
     lhs: Fraction
     rhs: Optional[Fraction]  # exact value when the bound is rational
-    rhs_text: str            # always-set exact rendering of the bound
+    rhs_text: Optional[str]  # exact rendering when it is not; one of the two is set
 
 
 @dataclass(frozen=True)
@@ -396,7 +401,7 @@ def _checked_once(space: Space, m: SelfMap, known: Sequence = ()):
 def _violated(x, y, lhs, rhs) -> Violated:
     if callable(rhs):
         return Violated(x, y, lhs, None, rhs())
-    return Violated(x, y, lhs, rhs, scalar_text(rhs))
+    return Violated(x, y, lhs, rhs, None)
 
 
 def evaluate_condition(cond: Condition, space: Space, m: SelfMap,
@@ -491,21 +496,6 @@ class EpsDeltaReport:
     cells: tuple[EpsDeltaCell, ...]
     horizon: int
     finite_horizon_evidence: bool = True
-
-    @property
-    def passed(self) -> bool:
-        return self.passing_delta is not None
-
-    def to_json(self) -> dict:
-        return {"eps": scalar_text(self.eps),
-                "passing_delta": (scalar_text(self.passing_delta)
-                                  if self.passing_delta is not None else None),
-                "horizon": self.horizon,
-                "finite_horizon_evidence": self.finite_horizon_evidence,
-                "cells": [{"delta": scalar_text(c.delta), "status": c.status,
-                           "exercised": c.exercised,
-                           "witness": list(c.witness) if c.witness else None}
-                          for c in self.cells]}
 
 
 def check_epsdelta_orbit(space: Space, m: SelfMap, x0,

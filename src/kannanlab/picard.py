@@ -115,9 +115,6 @@ class FixedPointCheck:
     is_fixed: bool
     residual: Fraction
 
-    def to_json(self) -> dict:
-        return {"is_fixed": self.is_fixed, "residual": scalar_text(self.residual)}
-
 
 def verify_fixed_point(space: Space, m: SelfMap, z) -> FixedPointCheck:
     """Exact residual d(z, Tz) and the exact-zero verdict."""

@@ -276,9 +276,6 @@ class FiniteSpace(Space):
     def _dist(self, p, q) -> Fraction:
         return self.matrix[self._index[p]][self._index[q]]
 
-    def axiom_report(self) -> MetricAxiomReport:
-        return verify_metric_axioms(self.labels, self.matrix)
-
     def distinct_pairs(self) -> tuple[tuple[str, str], ...]:
         """All unordered pairs of distinct points, in label order.
 

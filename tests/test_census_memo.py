@@ -117,6 +117,7 @@ def test_remembered_reports_match_plain_reports_witness_and_all():
             fast = evaluate_condition(wrapped, space, tm, EXHAUSTIVE)
             assert (fast.pairs_checked, fast.violation) == (
                 plain.pairs_checked, plain.violation), (inner.label(), map_id)
+            assert fast.to_json() == plain.to_json(), (inner.label(), map_id)
 
 
 def test_tightness_scan_matches_a_plain_scan():

@@ -234,3 +234,38 @@ def test_uniqueness_bounds_must_be_a_json_boolean(value):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("config error: uniqueness_bounds must be true or false")
+
+
+THREE_POINT = ("--space", '{"kind": "finite", "labels": ["a", "b", "c"], '
+                          '"d": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}',
+               "--map", '{"kind": "table", "assign": {"a": "b", "b": "c", "c": "c"}}')
+
+
+def test_iterated_kannan_shift_at_the_cap_is_checked():
+    proc = run_cli("check", *THREE_POINT,
+                   "--condition", '{"kind": "iterated_kannan", "m": 512}')
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["condition"] == {
+        "kind": "iterated_kannan", "m": 512}
+
+
+@pytest.mark.parametrize("m", ["513", '"99999999999"'])
+def test_iterated_kannan_shift_past_the_cap_is_config_error(m):
+    condition = '{"kind": "iterated_kannan", "m": ' + m + "}"
+    proc = run_cli("check", *THREE_POINT, "--condition", condition)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: iteration shift m capped at 512")
+    proc = run_cli("census", "--size", "3", "--conditions", "[" + condition + "]")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: iteration shift m capped at 512")
+
+
+def test_census_workers_has_no_effect_on_stdout():
+    outputs = set()
+    for workers in ("1", "2", "0", "-5"):
+        proc = run_cli("census", "--size", "4", "--seed", "1", "--workers", workers)
+        assert (proc.returncode, proc.stderr) == (0, ""), workers
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

@@ -11,6 +11,7 @@ from kannanlab.conditions import (EXHAUSTIVE, ChenYeh, Fisher, IteratedKannan,
                                   kannan_ratio, load_condition,
                                   replay_violation, sample_pairs)
 from kannanlab.maps import Custom, PiecewiseDrop, Scale, TableMap, TripleNat
+from kannanlab.picard import MAX_HORIZON
 from kannanlab.spaces import (ClosureError, FiniteSpace, GornickiNat,
                               HalfLineUsual, MembershipError, SplitSet,
                               split_set_sample)
@@ -47,7 +48,7 @@ def test_identity_map_violates_with_zero_bound():
     assert not report.holds
     v = report.violation
     assert v.lhs == space.dist(F(3, 2), F(2)) and v.lhs > 0
-    assert v.rhs == 0
+    assert (v.rhs, v.rhs_text) == (0, None)  # a rational bound renders from rhs
     assert replay_violation(report, space, ident)
 
 
@@ -77,7 +78,7 @@ def test_khan_decided_by_squaring():
     swap = TableMap(fs, {"a": "b", "b": "a"})
     report = evaluate_condition(Khan(), fs, swap, EXHAUSTIVE)
     assert not report.holds
-    assert report.violation.rhs_text == "sqrt(1)"
+    assert (report.violation.rhs, report.violation.rhs_text) == (None, "sqrt(1)")
 
 
 def test_khan_never_holds_with_a_fixed_point_present():
@@ -188,6 +189,9 @@ def test_iterated_kannan_shift_one_exact_values():
     assert report.holds
     with pytest.raises(ValueError):
         IteratedKannan(-1)
+    IteratedKannan(MAX_HORIZON)
+    with pytest.raises(ValueError, match="capped"):
+        IteratedKannan(MAX_HORIZON + 1)
 
 
 def test_evaluate_rejects_equal_pair_and_wrong_space():
