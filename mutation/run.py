@@ -72,8 +72,8 @@ MUTANTS = [
      "    checked = 0\n    for x, y in pair_list:",
      "    checked = 0\n    for x, y in pair_list[:-1]:", None),
     ("src/kannanlab/census.py",
-     "        if cond.picard_converges and (count != 1",
-     "        if False and (count != 1", None),
+     "        picard = holds & ~attracts if cond.picard_converges else holds & False",
+     "        picard = holds & ~attracts if False else holds & False", None),
     ("src/kannanlab/completeness.py",
      "    strict = lhs < rhs",
      "    strict = lhs <= rhs",
@@ -91,9 +91,6 @@ MUTANTS = [
      "    verification = verify_counterexample(cmap, args.prefix)\n",
      "    verification = verify_counterexample(cmap, args.prefix)\n"
      "    fixed_free = scan_fixed_point_free(cmap, args.scan)\n", None),
-    ("src/kannanlab/census.py",
-     "        key = (x, y, tx, ty)",
-     "        key = (x, y, tx)", None),
     ("src/kannanlab/conditions.py",
      "        return self.m == 0",
      "        return True", None),
@@ -140,8 +137,20 @@ MUTANTS = [
      "        if self.m > MAX_HORIZON:",
      "        if self.m > MAX_HORIZON + 1:", None),
     ("src/kannanlab/census.py",
-     "    def to_json(self) -> dict:\n        return self.inner.to_json()\n\n",
-     "", None),
+     "    return np.array([table[x, y][T[:, x], T[:, y]]",
+     "    return np.array([table[x, y][T[:, y], T[:, x]]", None),
+    ("src/kannanlab/census.py",
+     "    U = _power(T, m)",
+     "    U = _power(T, m - 1)", None),
+    ("src/kannanlab/census.py",
+     "        entries.append(np.where(u == v, T[rows, u] != u,",
+     "        entries.append(np.where(u == v, T[rows, u] == u,", None),
+    ("src/kannanlab/census.py",
+     "        ends = _power(T, n - 1)",
+     "        ends = _power(T, n - 2)", None),
+    ("src/kannanlab/census.py",
+     "        for map_id in ids[(ids % step == 0) | (ids == total - 1)].tolist():",
+     "        for map_id in ids[ids % step == 0].tolist():", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

@@ -10,11 +10,16 @@ disagreement is not a test failure to shrug at — it contradicts a proved
 theorem and therefore means the implementation is broken; it raises
 :class:`TheoremContradictionError` and stops the build.
 
-Each distinct thing is computed once.  A pair-local verdict is decided
-once per (pair, Tx, Ty), in the census and both side scans alike, and
-stands for the n^(n-2) maps that agree on the pair; the pair list is
-built once per space; and an orbit runs only from a start no earlier
-orbit of the same map visited, since every point it visits shares its fate.
+Each verdict is read from a table.  A pair-local verdict reads only x,
+y, Tx and Ty, so one boolean table V[x, y, Tx, Ty] per condition, filled
+by the condition's own exact ``verdict`` C(n,2)*n^2 times, decides every
+map: a map satisfies the condition iff its entry is true on every pair.
+Maps are taken 2^16 ids at a time as numpy digit arrays;
+``iterated_kannan(m)`` reads the strict table at U = T^m, and fixed
+points, convergence and the common limit come from a power of T.  The
+theorem check runs on whole chunks.  The plain per-map route,
+:func:`classify_map`, re-decides a stated sample of maps as the kernel's
+cross-check, and a row that differs raises.
 
 Map ids are base-|X| encodings of the assignment vector, enumerated in
 numeric order, so censuses are reproducible.
@@ -28,12 +33,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .conditions import (EXHAUSTIVE, Condition, StrictKannan,
+from .conditions import (EXHAUSTIVE, Condition, IteratedKannan, StrictKannan,
                          evaluate_condition)
 from .maps import FixedPointReached, TableMap, orbit
 from .rationals import lt_sqrt
@@ -100,7 +104,7 @@ def map_from_id(space: FiniteSpace, map_id: int) -> TableMap:
     return TableMap(space, assign)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CensusRow:
     map_id: str
     satisfies: tuple[tuple[str, bool], ...]  # (condition label, verdict)
@@ -114,6 +118,9 @@ class CensusRow:
 
 def classify_map(space: FiniteSpace, map_id: int,
                  conditions: Sequence[Condition]) -> CensusRow:
+    """One map's row the plain way: each condition evaluated on the map,
+    an orbit run from each start.  The census kernel's cross-check.
+    """
     tm = map_from_id(space, map_id)
     verdicts = tuple(
         (cond.label(),
@@ -141,67 +148,124 @@ def classify_map(space: FiniteSpace, map_id: int,
                      common_limit=common)
 
 
-def _check_row_against_theorems(row: CensusRow, conditions: Sequence[Condition]):
+def _check_theorems(conditions: Sequence[Condition], verdicts, count,
+                    converges, limit, map_ids: Sequence[str]):
     """Finite spaces are compact and complete, so every satisfied condition
     carries its theorem's conclusion unconditionally; a deviating row can
     only mean the implementation is broken.
+
+    Row r has ``verdicts[k][r]`` for condition k, ``count[r]`` fixed
+    points, ``converges[r]`` and the index ``limit[r]`` of its common
+    limit (-1 for none).  All rows are checked at once; the error names
+    the first deviating row, by ``map_ids[r]``, and its first deviating
+    condition.
     """
-    verdicts = dict(row.satisfies)
-    count = row.fixed_point_count
+    attracts = (count == 1) & converges & (limit >= 0)
+    failures, bad = [], np.zeros(len(count), dtype=bool)
+    for cond, holds in zip(conditions, verdicts):
+        picard = holds & ~attracts if cond.picard_converges else holds & False
+        fixed = holds & ((count != 1) if cond.unique_fixed_point else (count < 1))
+        failures.append((cond, picard, fixed))
+        bad |= picard | fixed
+    if not bad.any():
+        return
+    r = int(np.argmax(bad))
+    for cond, picard, fixed in failures:
+        if picard[r]:
+            raise TheoremContradictionError(
+                f"map {map_ids[r]} satisfies {cond.label()} exhaustively "
+                f"but has {count[r]} fixed points, converges={bool(converges[r])}")
+        if fixed[r]:
+            raise TheoremContradictionError(
+                f"map {map_ids[r]} satisfies {cond.label()} but has "
+                f"{count[r]} fixed points")
+
+
+# ---------------------------------------------------------------------------
+# The census kernel
+# ---------------------------------------------------------------------------
+
+CHUNK_MAPS = 1 << 16
+
+
+def _verdict_table(space: FiniteSpace, cond: Condition) -> np.ndarray:
+    """V[x, y, Tx, Ty] by label index: the condition's exact verdict on
+    the pair x < y of a map sending it to (Tx, Ty), for every pair and
+    image pair, one ``verdict`` call each.
+    """
+    n, labels = space.size, space.labels
+    table = np.zeros((n, n, n, n), dtype=bool)
+    for x, y in itertools.combinations(range(n), 2):
+        for tx, ty in itertools.product(range(n), repeat=2):
+            image = {labels[x]: labels[tx], labels[y]: labels[ty]}.__getitem__
+            table[x, y, tx, ty] = cond.verdict(space._dist, image,
+                                               labels[x], labels[y])[0]
+    return table
+
+
+def _lookups(space: FiniteSpace, conditions: Sequence[Condition]):
+    """(table, m) per condition: its verdict is ``table`` read at T^m.
+
+    A pair-local condition reads its own table, at m = 0.
+    ``iterated_kannan(m)`` is the strict inequality at (T^m x, T^m y),
+    so for m >= 1 it reads the strict table.  Equal conditions share a
+    table, and tables are filled in condition order.
+    """
+    tables = {}
+
+    def table(cond):
+        if cond not in tables:
+            tables[cond] = _verdict_table(space, cond)
+        return tables[cond]
+
+    lookups = []
     for cond in conditions:
-        if not verdicts.get(cond.label()):
-            continue
-        if cond.picard_converges and (count != 1
-                                      or not row.picard_converges_from_all_starts
-                                      or row.common_limit is None):
-            raise TheoremContradictionError(
-                f"map {row.map_id} satisfies {cond.label()} exhaustively "
-                f"but has {count} fixed points, "
-                f"converges={row.picard_converges_from_all_starts}")
-        if count < 1 or (cond.unique_fixed_point and count != 1):
-            raise TheoremContradictionError(
-                f"map {row.map_id} satisfies {cond.label()} but has "
-                f"{count} fixed points")
+        if cond.pair_local:
+            lookups.append((table(cond), 0))
+        elif isinstance(cond, IteratedKannan):
+            lookups.append((table(StrictKannan()), cond.m))
+        else:
+            raise ValueError(f"the census decides pair-local conditions and "
+                             f"iterated_kannan only, not {cond.label()}")
+    return lookups
 
 
-class _RememberedVerdicts(Condition):
-    """A pair-local condition whose verdicts on one space are kept per
-    (x, y, Tx, Ty).
+def _power(T: np.ndarray, k: int) -> np.ndarray:
+    """T^k for each row of maps T (T^0 is the identity), by squaring."""
+    result = np.broadcast_to(np.arange(T.shape[1]), T.shape)
+    while k > 0:
+        if k & 1:
+            result = np.take_along_axis(T, result, axis=1)
+        T = np.take_along_axis(T, T, axis=1)
+        k >>= 1
+    return result
 
-    On a fixed space such a verdict reads nothing else, so each key is
-    decided once and stands for every map that agrees with it on x and y:
-    n^(n-2) maps on an n-point space.  A bound given as a function is
-    cached too, so its text renders once per key.
+
+def _pair_verdicts(table: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(pairs, maps): V[x, y, Tx, Ty] for each pair x < y of each map."""
+    n = T.shape[1]
+    return np.array([table[x, y][T[:, x], T[:, y]]
+                     for x, y in itertools.combinations(range(n), 2)],
+                    dtype=bool).reshape(-1, len(T))
+
+
+def _shifted_pair_verdicts(strict: np.ndarray, T: np.ndarray, m: int) -> np.ndarray:
+    """(pairs, maps): iterated_kannan(m), the strict table read at U = T^m.
+
+    With u = Ux and v = Uy, the entry is the table's at the ordered pair
+    and its images: the strict inequality is symmetric in (u, Tu) and
+    (v, Tv).  Where u = v, the strict inequality at (u, u) reads
+    0 < d(u, Tu): it holds iff Tu != u.
     """
-
-    def __init__(self, inner: Condition):
-        self.inner = inner
-        self.kind = inner.kind
-        self.unique_fixed_point = inner.unique_fixed_point
-        self.picard_converges = inner.picard_converges
-        self._label = inner.label()
-        self._verdicts = {}
-
-    def label(self) -> str:
-        return self._label
-
-    def to_json(self) -> dict:
-        return self.inner.to_json()
-
-    def verdict(self, d, image, x, y):
-        tx, ty = image(x), image(y)  # the pair's own images come first
-        key = (x, y, tx, ty)
-        found = self._verdicts.get(key)
-        if found is None:
-            holds, lhs, rhs = self.inner.verdict(d, image, x, y)
-            found = self._verdicts[key] = (holds, lhs,
-                                           cache(rhs) if callable(rhs) else rhs)
-        return found
-
-
-def _remembered(conditions: Sequence[Condition]) -> tuple[Condition, ...]:
-    """The conditions for scans of one space, pair-local ones remembered."""
-    return tuple(_RememberedVerdicts(c) if c.pair_local else c for c in conditions)
+    U = _power(T, m)
+    n, rows = T.shape[1], np.arange(len(T))
+    entries = []
+    for x, y in itertools.combinations(range(n), 2):
+        u, v = U[:, x], U[:, y]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        entries.append(np.where(u == v, T[rows, u] != u,
+                                strict[lo, hi, T[rows, lo], T[rows, hi]]))
+    return np.array(entries, dtype=bool).reshape(-1, len(T))
 
 
 def enumerate_census(space: FiniteSpace,
@@ -209,36 +273,84 @@ def enumerate_census(space: FiniteSpace,
                      ) -> list[CensusRow]:
     """One row per self-map, in numeric map-id order, each checked against
     the theorems of the conditions it satisfies.
+
+    The cross-check sample is every map id when there are fewer than
+    2,000 maps, else every (n^n // 1000)-th id and the last: each is
+    re-decided by :func:`classify_map`, and a row that differs raises
+    :class:`TheoremContradictionError`.
     """
     n = space.size
     total = n ** n
     if total > MAX_CENSUS_MAPS:
         raise ValueError(f"{n}^{n} = {total} self-maps exceeds the census cap")
     conditions = tuple(conditions)
-    remembered = _remembered(conditions)
+    lookups = _lookups(space, conditions)
+    names = [c.label() for c in conditions]
+    limit_labels = (*space.labels, None)  # index -1: no common limit
+    place = n ** np.arange(n - 1, -1, -1)
+    step = max(1, total // 1000)
+    satisfies = {}  # one tuple per verdict pattern, shared by its rows
     rows = []
-    for map_id in range(total):
-        row = classify_map(space, map_id, remembered)
-        _check_row_against_theorems(row, conditions)
-        rows.append(row)
+    for start in range(0, total, CHUNK_MAPS):
+        ids = np.arange(start, min(start + CHUNK_MAPS, total))
+        T = ids[:, None] // place % n  # digit i: the image index of labels[i]
+        verdicts = np.array([(_shifted_pair_verdicts(table, T, m) if m
+                              else _pair_verdicts(table, T)).all(axis=0)
+                             for table, m in lookups],
+                            dtype=bool).reshape(len(lookups), len(ids))
+        count = (T == np.arange(n)).sum(axis=1)
+        # an orbit's tail has at most n - 1 points, so T^(n-1) x lies on
+        # the cycle it enters, which is a fixed point iff the orbit converges
+        ends = _power(T, n - 1)
+        converges = (np.take_along_axis(T, ends, axis=1) == ends).all(axis=1)
+        limit = np.where(converges & (ends == ends[:, :1]).all(axis=1), ends[:, 0], -1)
+        # n <= 7, so each digit is one character
+        map_ids = (T.astype(np.uint8) + ord("0")).view(f"S{n}").ravel().astype(str).tolist()
+        for map_id, held, c, conv, lim in zip(map_ids, verdicts.T.tolist(), count.tolist(),
+                                              converges.tolist(), limit.tolist()):
+            key = tuple(held)
+            if key not in satisfies:
+                satisfies[key] = tuple(zip(names, key))
+            rows.append(CensusRow(map_id, satisfies[key], c, conv, limit_labels[lim]))
+        for map_id in ids[(ids % step == 0) | (ids == total - 1)].tolist():
+            if classify_map(space, map_id, conditions) != rows[map_id]:
+                raise TheoremContradictionError(
+                    f"census kernel and classify_map disagree on map "
+                    f"{rows[map_id].map_id}")
+        _check_theorems(conditions, verdicts, count, converges, limit, map_ids)
     return rows
 
 
 def census_csv(rows: Sequence[CensusRow],
                conditions: Sequence[Condition]) -> str:
+    """The census as CSV; each distinct row apart from its id is written
+    by ``csv.writer`` once, and the rows that share it reuse the text.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
     labels = [c.label() for c in conditions]
     writer.writerow(["map_id", *labels, "fixed_point_count",
                      "converges", "common_limit"])
+    parts = [buf.getvalue()]
+    shapes = {}
     for row in rows:
-        verdicts = dict(row.satisfies)
-        writer.writerow([row.map_id,
-                         *[str(verdicts[l]).lower() for l in labels],
-                         row.fixed_point_count,
-                         str(row.picard_converges_from_all_starts).lower(),
-                         row.common_limit if row.common_limit is not None else ""])
-    return buf.getvalue()
+        key = (row.satisfies, row.fixed_point_count,
+               row.picard_converges_from_all_starts, row.common_limit)
+        rest = shapes.get(key)
+        if rest is None:
+            verdicts = dict(row.satisfies)
+            buf.seek(0)
+            buf.truncate()
+            # an empty first field is written as nothing, and map ids are
+            # digits, which csv never quotes
+            writer.writerow(["",
+                             *[str(verdicts[l]).lower() for l in labels],
+                             row.fixed_point_count,
+                             str(row.picard_converges_from_all_starts).lower(),
+                             row.common_limit if row.common_limit is not None else ""])
+            rest = shapes[key] = buf.getvalue()
+        parts.append(row.map_id + rest)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +373,21 @@ class TightnessReport:
 
 
 def tightness_scan(space: FiniteSpace) -> TightnessReport:
-    strict = _RememberedVerdicts(StrictKannan())
+    strict = StrictKannan()
     best: Optional[Fraction] = None
     best_map = best_pair = None
     satisfying = 0
-    for map_id in range(space.size ** space.size):
-        tm = map_from_id(space, map_id)
-        if not evaluate_condition(strict, space, tm, EXHAUSTIVE).holds:
+    for map_id, row in enumerate(enumerate_census(space, (strict,))):
+        if not row.satisfies[0][1]:
             continue
         satisfying += 1
+        tm = map_from_id(space, map_id)
         for x, y in space.distinct_pairs():
-            # remembered above; rhs = 0 fixes x and y, so lhs = d(x,y) > 0 = rhs
+            # the map holds on the pair; rhs = 0 fixes x and y, so lhs = d(x,y) > 0 = rhs
             _, lhs, rhs = strict.verdict(space._dist, tm._apply, x, y)
             ratio = lhs / rhs
             if best is None or ratio > best:
-                best, best_map = ratio, map_id_string(map_id, space.size)
+                best, best_map = ratio, row.map_id
                 best_pair = (x, y)
     if satisfying and best is None:
         best = Fraction(0)  # a 1-point space: its one map holds with no pair

@@ -271,6 +271,34 @@ _DEFAULT_CENSUS_CONDITIONS = [
 ]
 
 
+def _census_json(config: dict, space, rows) -> str:
+    """render_json of the census document, rows written from templates.
+
+    Each distinct row apart from its map id is rendered by json.dumps
+    once, as the text before and after the id; the rows that share it
+    reuse that text, so the bytes are those render_json would write.
+    """
+    frame = render_json({"config": config, "rows": [], "space": space.to_json()})
+    head, _, tail = frame.partition('\n  "rows": [],\n')
+    templates = {}
+    parts = []
+    for r in rows:
+        key = (r.satisfies, r.fixed_point_count,
+               r.picard_converges_from_all_starts, r.common_limit)
+        template = templates.get(key)
+        if template is None:
+            text = json.dumps({"map_id": "", "satisfies": dict(r.satisfies),
+                               "fixed_point_count": r.fixed_point_count,
+                               "converges": r.picard_converges_from_all_starts,
+                               "common_limit": r.common_limit},
+                              sort_keys=True, indent=2).replace("\n", "\n    ")
+            # quotes inside a JSON string are escaped, so this is the key
+            before, key_text, after = text.partition('"map_id": "')
+            template = templates[key] = ("    " + before + key_text, after)
+        parts.append(template[0] + r.map_id + template[1])
+    return "".join([head, '\n  "rows": [\n', ",\n".join(parts), "\n  ],\n", tail])
+
+
 def cmd_census(args) -> tuple[int, str]:
     space = random_finite_space(args.size, args.seed, mode=args.mode)
     condition_spec = (_load_json_arg(args.conditions)
@@ -281,15 +309,7 @@ def cmd_census(args) -> tuple[int, str]:
     config = {"command": "census", "size": args.size, "seed": args.seed,
               "mode": args.mode, "conditions": condition_spec}
     if args.format == "json":
-        result = {
-            "config": config,
-            "space": space.to_json(),
-            "rows": [{"map_id": r.map_id, "satisfies": dict(r.satisfies),
-                      "fixed_point_count": r.fixed_point_count,
-                      "converges": r.picard_converges_from_all_starts,
-                      "common_limit": r.common_limit} for r in rows],
-        }
-        return 0, render_json(result)
+        return 0, _census_json(config, space, rows)
     header = "# " + json.dumps(config, sort_keys=True) + "\n"
     return 0, header + census_csv(rows, conditions)
 

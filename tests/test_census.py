@@ -2,10 +2,11 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from kannanlab.census import (TheoremContradictionError, census_csv,
-                              classify_map, enumerate_census,
+from kannanlab.census import (TheoremContradictionError, _check_theorems,
+                              census_csv, classify_map, enumerate_census,
                               khan_float_crosscheck, map_from_id,
                               map_id_string, random_finite_space,
                               tightness_scan)
@@ -112,25 +113,43 @@ def test_theorem_consistency_on_sampled_spaces():
                     assert row.fixed_point_count >= 1
 
 
+def check_theorems(conditions, verdicts, count, converges, limit, map_ids):
+    """The vectorized theorem check on literal rows: ``verdicts[k][r]`` is
+    condition k on row r, ``limit[r]`` a label index or -1 for none."""
+    _check_theorems(conditions,
+                    np.array(verdicts, dtype=bool).reshape(len(conditions), len(map_ids)),
+                    np.array(count), np.array(converges, dtype=bool),
+                    np.array(limit), map_ids)
+
+
 def test_contradiction_error_fires_on_forged_rows():
-    from kannanlab.census import CensusRow, _check_row_against_theorems
-    forged = CensusRow(map_id="00", satisfies=(("strict_kannan", True),),
-                       fixed_point_count=2,
-                       picard_converges_from_all_starts=True,
-                       common_limit="p0")
-    with pytest.raises(TheoremContradictionError):
-        _check_row_against_theorems(forged, [StrictKannan()])
-    forged_fisher = CensusRow(map_id="01", satisfies=(("fisher", True),),
-                              fixed_point_count=0,
-                              picard_converges_from_all_starts=False,
-                              common_limit=None)
-    with pytest.raises(TheoremContradictionError):
-        _check_row_against_theorems(forged_fisher, [Fisher()])
-    # a genuine row passes every check
+    conds = [StrictKannan(), Fisher()]
+    ids = ["00", "01", "10", "11"]
+    # row 00 is genuine; 01 claims strict with two fixed points, 10
+    # claims fisher with none: the first deviating row is named
+    with pytest.raises(TheoremContradictionError,
+                       match="^map 01 satisfies strict_kannan exhaustively but "
+                             "has 2 fixed points, converges=True$"):
+        check_theorems(conds, [[True, True, False, True], [True, False, True, True]],
+                       [1, 2, 0, 1], [True, True, False, True], [0, -1, -1, 1], ids)
+    with pytest.raises(TheoremContradictionError,
+                       match="^map 10 satisfies fisher but has 0 fixed points$"):
+        check_theorems(conds, [[True, False, False, True], [True, False, True, True]],
+                       [1, 2, 0, 1], [True, True, False, True], [0, -1, -1, 1], ids)
+    # within a row, the first deviating condition is named
+    with pytest.raises(TheoremContradictionError, match="^map 10 satisfies fisher "):
+        check_theorems([Fisher(), StrictKannan()], [[False, True], [False, True]],
+                       [1, 0], [True, False], [0, -1], ["00", "10"])
+    # a genuine census passes every check
     sp = two_point_unit_space()
     conds = [StrictKannan(), Fisher(), Khan(), ChenYeh(F(0), F(0))]
-    for row in enumerate_census(sp, conds):
-        _check_row_against_theorems(row, conds)
+    rows = enumerate_census(sp, conds)
+    check_theorems(conds, [[r.satisfies[k][1] for r in rows] for k in range(len(conds))],
+                   [r.fixed_point_count for r in rows],
+                   [r.picard_converges_from_all_starts for r in rows],
+                   [-1 if r.common_limit is None else sp.labels.index(r.common_limit)
+                    for r in rows],
+                   [r.map_id for r in rows])
 
 
 def test_census_csv_shape():
@@ -180,20 +199,11 @@ def test_khan_float_crosscheck_small_spaces():
 
 
 def test_chen_yeh_conclusion_depends_on_uniqueness_bounds():
-    from kannanlab.census import CensusRow, _check_row_against_theorems
-    label = ChenYeh(F(0), F(0)).label()
-    two_fixed = CensusRow(map_id="01", satisfies=((label, True),),
-                          fixed_point_count=2,
-                          picard_converges_from_all_starts=True,
-                          common_limit=None)
-    _check_row_against_theorems(two_fixed, [ChenYeh(F(0), F(0))])
+    plain, bounded = ChenYeh(F(0), F(0)), ChenYeh(F(0), F(0), uniqueness_bounds=True)
+    # two fixed points, each a limit: allowed without the uniqueness bounds
+    check_theorems([plain], [[True]], [2], [True], [-1], ["01"])
     with pytest.raises(TheoremContradictionError):
-        _check_row_against_theorems(
-            two_fixed, [ChenYeh(F(0), F(0), uniqueness_bounds=True)])
-    no_fixed = CensusRow(map_id="10", satisfies=((label, True),),
-                         fixed_point_count=0,
-                         picard_converges_from_all_starts=False,
-                         common_limit=None)
+        check_theorems([bounded], [[True]], [2], [True], [-1], ["01"])
+    # no fixed point is never allowed
     with pytest.raises(TheoremContradictionError):
-        _check_row_against_theorems(no_fixed, [ChenYeh(F(0), F(0))])
-
+        check_theorems([plain], [[True]], [0], [False], [-1], ["10"])

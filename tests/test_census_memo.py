@@ -1,14 +1,15 @@
-"""The census fast path against a plain reference.
+"""The census kernel against a plain reference.
 
-``enumerate_census`` decides each pair-local verdict once per
-(x, y, Tx, Ty) and runs an orbit only from unvisited starts.  The
+``enumerate_census`` reads every verdict from tables filled once per
+(pair, Tx, Ty) and takes fixed points and limits from powers of T.  The
 reference here does neither: every map runs plain ``evaluate_condition``
-on the unwrapped conditions and one ``orbit`` per start, so any
-difference in a row is a fault of the fast path.  The two side scans,
-``tightness_scan`` and ``khan_float_crosscheck``, are checked the same
-way against per-map loops.
+and one ``orbit`` per start, so any difference in a row is a fault of
+the kernel.  The two side scans, ``tightness_scan`` and
+``khan_float_crosscheck``, are checked the same way against per-map
+loops.
 """
 
+import itertools
 from fractions import Fraction as F
 from math import comb
 
@@ -19,9 +20,10 @@ import numpy as np
 import pytest
 
 import kannanlab.census
-from kannanlab.census import (CensusRow, _remembered, enumerate_census,
-                              khan_float_crosscheck, map_from_id,
-                              map_id_string, random_finite_space,
+from kannanlab.census import (CensusRow, TheoremContradictionError,
+                              _shifted_pair_verdicts, _verdict_table,
+                              enumerate_census, khan_float_crosscheck,
+                              map_from_id, map_id_string, random_finite_space,
                               tightness_scan)
 from kannanlab.conditions import (EXHAUSTIVE, ChenYeh, Fisher, IteratedKannan,
                                   KannanK, Khan, StrictKannan,
@@ -71,15 +73,31 @@ def reference_rows(space, conditions):
 @example(size=4, seed=0, mode="band", conditions=DEFAULT)
 @example(size=4, seed=1, mode="line", conditions=ITERATED)
 @example(size=5, seed=0, mode="line", conditions=[StrictKannan(), *ITERATED[1:]])
+@example(size=5, seed=1, mode="line", conditions=[IteratedKannan(1), Khan()])
+@example(size=5, seed=2, mode="line", conditions=[IteratedKannan(2), Fisher()])
 def test_census_rows_equal_the_plain_reference(size, seed, mode, conditions):
     space = random_finite_space(size, seed=seed, mode=mode)
     assert enumerate_census(space, conditions) == reference_rows(space, conditions)
 
 
+def sampled_ids(total):
+    """The stated cross-check sample: every id below 2,000 maps, else
+    every (total // 1000)-th id, and the last, each once."""
+    step = max(1, total // 1000)
+    return [i for i in range(total) if i % step == 0 or i == total - 1]
+
+
 def test_pair_local_verdicts_run_at_most_once_per_pair_and_images(monkeypatch):
-    space = random_finite_space(4, seed=2, mode="line")
+    # the tables decide each (pair, Tx, Ty) once; the only other calls
+    # are the plain evaluations of the sampled maps
+    space = random_finite_space(5, seed=2, mode="line")
     n = space.size
     conditions = [*DEFAULT, *ITERATED]
+    sample = sampled_ids(n ** n)
+    assert len(sample) < n ** n  # a sparse sample: 1 map in 3, and the last
+    plain = {id(c): sum(evaluate_condition(c, space, map_from_id(space, i)).pairs_checked
+                        for i in sample)
+             for c in conditions}
     calls = {id(c): 0 for c in conditions}
     for cls in {type(c) for c in conditions}:
         def counted(self, d, image, x, y, _inner=cls.verdict):
@@ -88,36 +106,75 @@ def test_pair_local_verdicts_run_at_most_once_per_pair_and_images(monkeypatch):
             return _inner(self, d, image, x, y)
         monkeypatch.setattr(cls, "verdict", counted)
     enumerate_census(space, conditions)
-    bound = comb(n, 2) * n * n
+    fill = comb(n, 2) * n * n
     for c in conditions:
-        assert calls[id(c)] > 0, c.label()
-        if c.pair_local:
-            assert calls[id(c)] <= bound, (c.label(), calls[id(c)], bound)
-    # m >= 1 reads beyond (x, y, Tx, Ty), so it is not remembered
-    assert calls[id(ITERATED[1])] > bound
+        # m >= 1 reads the strict table: no table of its own
+        expected = plain[id(c)] + (fill if c.pair_local else 0)
+        assert calls[id(c)] == expected, (c.label(), calls[id(c)], expected)
 
 
-def test_only_pair_local_conditions_are_remembered():
-    assert [c.pair_local for c in ITERATED] == [True, False, False]
-    for inner, wrapped in zip(CATALOG, _remembered(CATALOG)):
-        assert (wrapped is inner) == (not inner.pair_local)
-        assert wrapped.kind == inner.kind
-        assert wrapped.label() == inner.label()
-        assert wrapped.unique_fixed_point == inner.unique_fixed_point
-        assert wrapped.picard_converges == inner.picard_converges
-
-
-def test_remembered_reports_match_plain_reports_witness_and_all():
-    space = random_finite_space(3, seed=4, mode="line")
-    remembered = _remembered(CATALOG)
-    for map_id in range(space.size ** space.size):
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_iterated_lookup_equals_the_verdict_pair_by_pair(m):
+    space = random_finite_space(4, seed=3, mode="line")
+    n = space.size
+    strict = _verdict_table(space, StrictKannan())
+    T = np.array(list(itertools.product(range(n), repeat=n)))  # map-id order
+    got = _shifted_pair_verdicts(strict, T, m)
+    pairs = list(itertools.combinations(range(n), 2))
+    assert got.shape == (len(pairs), n ** n)
+    cond = IteratedKannan(m)
+    diagonal = 0
+    for map_id in range(n ** n):
         tm = map_from_id(space, map_id)
-        for inner, wrapped in zip(CATALOG, remembered):
-            plain = evaluate_condition(inner, space, tm, EXHAUSTIVE)
-            fast = evaluate_condition(wrapped, space, tm, EXHAUSTIVE)
-            assert (fast.pairs_checked, fast.violation) == (
-                plain.pairs_checked, plain.violation), (inner.label(), map_id)
-            assert fast.to_json() == plain.to_json(), (inner.label(), map_id)
+        for p, (x, y) in enumerate(pairs):
+            x, y = space.labels[x], space.labels[y]
+            expected = cond.verdict(space._dist, tm._apply, x, y)[0]
+            assert got[p, map_id] == expected, (map_id, x, y)
+            u, v = x, y
+            for _ in range(m):
+                u, v = tm._apply(u), tm._apply(v)
+            diagonal += u == v
+    assert 0 < diagonal < len(pairs) * n ** n  # both branches ran
+
+
+def test_a_flipped_table_entry_is_caught_by_the_cross_check(monkeypatch):
+    space = random_finite_space(4, seed=1, mode="line")
+    strict = StrictKannan()
+    # pair (p1, p2) at images (p3, p3) holds, as lhs = 0; flipped to false,
+    # it makes every strict map sending p1 and p2 to p3 non-strict, and
+    # the first of them is the first sampled row that differs
+    first = next(r.map_id for r in enumerate_census(space, [strict])
+                 if r.satisfied("strict_kannan") and r.map_id[1:3] == "33")
+    assert first != "3333"
+    fill = kannanlab.census._verdict_table
+
+    def flipped(space, cond):
+        table = fill(space, cond)
+        table[1, 2, 3, 3] = not table[1, 2, 3, 3]
+        return table
+
+    monkeypatch.setattr(kannanlab.census, "_verdict_table", flipped)
+    with pytest.raises(TheoremContradictionError,
+                       match=f"disagree on map {first}$"):
+        enumerate_census(space, [strict])
+
+
+@pytest.mark.parametrize("size", [4, 5, 6])
+def test_cross_check_runs_on_the_stated_sample(size, monkeypatch):
+    space = random_finite_space(size, seed=0, mode="line")
+    seen = []
+    plain = kannanlab.census.classify_map
+
+    def recorded(space, map_id, conditions):
+        seen.append(map_id)
+        return plain(space, map_id, conditions)
+
+    monkeypatch.setattr(kannanlab.census, "classify_map", recorded)
+    enumerate_census(space, [StrictKannan()])
+    total = size ** size
+    assert seen == sampled_ids(total)
+    if total >= 2000:  # the last id is off the stride, sampled on its own
+        assert (total - 1) % (total // 1000) != 0 and seen[-1] == total - 1
 
 
 def test_tightness_scan_matches_a_plain_scan():

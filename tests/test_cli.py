@@ -269,3 +269,59 @@ def test_census_workers_has_no_effect_on_stdout():
         assert (proc.returncode, proc.stderr) == (0, ""), workers
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_census_with_no_conditions_lists_every_map(fmt):
+    proc = run_cli("census", "--size", "2", "--conditions", "[]", "--format", fmt)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if fmt == "csv":
+        assert proc.stdout.splitlines()[1:] == [
+            "map_id,fixed_point_count,converges,common_limit",
+            "00,1,true,p0", "01,2,true,", "10,0,false,", "11,1,true,p1"]
+    else:
+        rows = json.loads(proc.stdout)["rows"]
+        assert [r["map_id"] for r in rows] == ["00", "01", "10", "11"]
+        assert all(r["satisfies"] == {} for r in rows)
+        assert proc.stdout.count('"satisfies": {}\n') == 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_census_repeated_condition_keeps_one_json_key_and_every_csv_column(fmt):
+    conditions = '[{"kind": "fisher"}, {"kind": "khan"}, {"kind": "fisher"}]'
+    proc = run_cli("census", "--size", "3", "--seed", "1", "--mode", "line",
+                   "--conditions", conditions, "--format", fmt)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if fmt == "csv":
+        lines = proc.stdout.splitlines()
+        assert lines[1] == ("map_id,fisher,khan,fisher,fixed_point_count,"
+                            "converges,common_limit")
+        assert len(lines) == 2 + 27
+        assert lines[2] == "000,true,false,true,1,true,p0"
+        assert all(row.split(",")[1] == row.split(",")[3] for row in lines[2:])
+    else:
+        rows = json.loads(proc.stdout)["rows"]
+        assert len(rows) == 27
+        assert all(sorted(r["satisfies"]) == ["fisher", "khan"] for r in rows)
+        assert proc.stdout.count('"fisher": ') == 27  # one key per row
+
+
+@pytest.mark.parametrize("conditions", [
+    [], [{"kind": "strict_kannan"}],
+    [{"kind": "fisher"}, {"kind": "khan"}, {"kind": "fisher"}],
+    [{"kind": "chen_yeh", "a": "1/3", "b": "3"}, {"kind": "iterated_kannan", "m": 1},
+     {"kind": "kannan_k", "k": "1/4"}],
+])
+def test_census_json_template_writes_what_render_json_writes(conditions):
+    from kannanlab.census import enumerate_census, random_finite_space
+    from kannanlab.cli import _census_json, render_json
+    from kannanlab.conditions import load_condition
+    space = random_finite_space(4, seed=2, mode="line")
+    rows = enumerate_census(space, [load_condition(c) for c in conditions])
+    config = {"command": "census", "conditions": conditions, "rows": []}
+    document = {"config": config, "space": space.to_json(),
+                "rows": [{"map_id": r.map_id, "satisfies": dict(r.satisfies),
+                          "fixed_point_count": r.fixed_point_count,
+                          "converges": r.picard_converges_from_all_starts,
+                          "common_limit": r.common_limit} for r in rows]}
+    assert _census_json(config, space, rows) == render_json(document)

@@ -7,11 +7,12 @@ row that breaks only the Picard branch of the theorem check.
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from kannanlab.census import (CensusRow, TheoremContradictionError,
-                              _check_row_against_theorems, enumerate_census,
-                              map_from_id, random_finite_space)
+from kannanlab.census import (TheoremContradictionError, _check_theorems,
+                              enumerate_census, map_from_id,
+                              random_finite_space)
 from kannanlab.conditions import (EXHAUSTIVE, ChenYeh, Fisher, KannanK,
                                   StrictKannan, evaluate_condition)
 from kannanlab.maps import TableMap
@@ -86,9 +87,6 @@ def test_chen_yeh_matches_a_literal_seven_term_oracle():
 def test_contradiction_error_fires_on_a_non_converging_unique_fixed_point():
     # one fixed point satisfies uniqueness, so only the Picard branch
     # can catch a strict-Kannan row whose iteration fails to converge
-    forged = CensusRow(map_id="012", satisfies=(("strict_kannan", True),),
-                       fixed_point_count=1,
-                       picard_converges_from_all_starts=False,
-                       common_limit=None)
     with pytest.raises(TheoremContradictionError, match="converges=False"):
-        _check_row_against_theorems(forged, [StrictKannan()])
+        _check_theorems([StrictKannan()], np.array([[True]]), np.array([1]),
+                        np.array([False]), np.array([-1]), ["012"])
