@@ -7,10 +7,10 @@ exhaustively where they *must* hold.
 
 from fractions import Fraction as F
 
-from kannanlab import (build_reciprocal_witness, census_csv,
+from kannanlab import (build_reciprocal_witness,
                        construct_counterexample_map, enumerate_census,
                        khan_float_crosscheck, random_finite_space,
-                       scan_fixed_point_free, tightness_scan,
+                       render_census, scan_fixed_point_free, tightness_scan,
                        verify_counterexample, verify_gornicki_answer)
 from kannanlab.conditions import ChenYeh, Fisher, KannanK, StrictKannan
 
@@ -43,13 +43,16 @@ print("=== finite spaces are compact: the census is the oracle ===")
 space = random_finite_space(3, seed=0)
 conditions = [StrictKannan(), KannanK(F(1, 3)), Fisher(),
               ChenYeh(F(0), F(0))]
-rows = enumerate_census(space, conditions)
-strict = [r for r in rows if r.satisfied("strict_kannan")]
-print(f"3 points -> {len(rows)} self-maps, {len(strict)} strictly Kannan;")
+census = enumerate_census(space, conditions)
+strict = [r for r in census if r.satisfied("strict_kannan")]
+print(f"3 points -> {len(census)} self-maps, {len(strict)} strictly Kannan;")
 print("each of those has exactly one fixed point and globally convergent")
 print("iteration (enumerate_census raises loudly on any deviation).")
 print()
-print(census_csv(rows[:6], conditions))
+# the CLI's CSV: a config comment, the header, then one line per map
+csv_lines = "".join(render_census(census, {"size": 3, "seed": 0}, "csv")).splitlines()
+print("\n".join(csv_lines[:8]))
+print()
 
 # on a band space every strictly Kannan map is constant, so its ratio is
 # always 0; a line space has non-constant ones

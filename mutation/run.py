@@ -72,8 +72,8 @@ MUTANTS = [
      "    checked = 0\n    for x, y in pair_list:",
      "    checked = 0\n    for x, y in pair_list[:-1]:", None),
     ("src/kannanlab/census.py",
-     "        picard = holds & ~attracts if cond.picard_converges else holds & False",
-     "        picard = holds & ~attracts if False else holds & False", None),
+     "        if holds and cond.picard_converges and not attracts:",
+     "        if holds and False and not attracts:", None),
     ("src/kannanlab/completeness.py",
      "    strict = lhs < rhs",
      "    strict = lhs <= rhs",
@@ -91,9 +91,6 @@ MUTANTS = [
      "    verification = verify_counterexample(cmap, args.prefix)\n",
      "    verification = verify_counterexample(cmap, args.prefix)\n"
      "    fixed_free = scan_fixed_point_free(cmap, args.scan)\n", None),
-    ("src/kannanlab/conditions.py",
-     "        return self.m == 0",
-     "        return True", None),
     ("src/kannanlab/census.py",
      "            limit = o.points[-1] if isinstance(o.status, FixedPointReached) else None",
      "            limit = o.points[-1]", None),
@@ -151,6 +148,21 @@ MUTANTS = [
     ("src/kannanlab/census.py",
      "        for map_id in ids[(ids % step == 0) | (ids == total - 1)].tolist():",
      "        for map_id in ids[ids % step == 0].tolist():", None),
+    ("src/kannanlab/census.py",
+     "    return [(table(StrictKannan()), cond.m) if isinstance(cond, IteratedKannan)",
+     "    return [(table(StrictKannan()), 0) if isinstance(cond, IteratedKannan)", None),
+    ("src/kannanlab/census.py",
+     "        key = np.vstack([verdicts, count, converges, limit + 1]).T.astype(np.uint8, order=\"C\")",
+     "        key = np.vstack([verdicts, count, converges]).T.astype(np.uint8, order=\"C\")", None),
+    ("src/kannanlab/census.py",
+     "        census.codes[ids] = np.array([known[shape] for shape in shapes], dtype=np.int32)[local]",
+     "        census.codes[ids] = local", None),
+    ("src/kannanlab/census.py",
+     "        new = [j for j in np.argsort(first).tolist() if shapes[j] not in known]",
+     "        new = [j for j in range(len(first)) if shapes[j] not in known]", None),
+    ("src/kannanlab/census.py",
+     "        if start:\n            yield separator\n",
+     "", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

@@ -20,8 +20,8 @@ from .picard import (orbit_trace_csv, run_picard, uniqueness_probe,
 from .completeness import (build_reciprocal_witness,
                            construct_counterexample_map, scan_fixed_point_free,
                            verify_counterexample, verify_gornicki_answer)
-from .census import (census_csv, enumerate_census, khan_float_crosscheck,
-                     map_from_id, random_finite_space, tightness_scan)
+from .census import (enumerate_census, khan_float_crosscheck, map_from_id,
+                     random_finite_space, render_census, tightness_scan)
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,6 @@ __all__ = [
     "orbit_trace_csv", "run_picard", "uniqueness_probe", "verify_fixed_point",
     "build_reciprocal_witness", "construct_counterexample_map",
     "scan_fixed_point_free", "verify_counterexample", "verify_gornicki_answer",
-    "census_csv", "enumerate_census", "khan_float_crosscheck", "map_from_id",
-    "random_finite_space", "tightness_scan",
+    "enumerate_census", "khan_float_crosscheck", "map_from_id",
+    "random_finite_space", "render_census", "tightness_scan",
 ]

@@ -16,10 +16,12 @@ by the condition's own exact ``verdict`` C(n,2)*n^2 times, decides every
 map: a map satisfies the condition iff its entry is true on every pair.
 Maps are taken 2^16 ids at a time as numpy digit arrays;
 ``iterated_kannan(m)`` reads the strict table at U = T^m, and fixed
-points, convergence and the common limit come from a power of T.  The
-theorem check runs on whole chunks.  The plain per-map route,
-:func:`classify_map`, re-decides a stated sample of maps as the kernel's
-cross-check, and a row that differs raises.
+points, convergence and the common limit come from a power of T.  A
+:class:`Census` is one int32 code per map id into its distinct rows
+without ids, its shapes; the theorem check runs once per shape.  The
+plain per-map route, :func:`classify_map`, re-decides a stated sample of
+maps as the kernel's cross-check, and a row that differs raises.  All
+checks run before :func:`render_census` writes a byte, chunk by chunk.
 
 Map ids are base-|X| encodings of the assignment vector, enumerated in
 numeric order, so censuses are reproducible.
@@ -30,10 +32,11 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -148,37 +151,26 @@ def classify_map(space: FiniteSpace, map_id: int,
                      common_limit=common)
 
 
-def _check_theorems(conditions: Sequence[Condition], verdicts, count,
-                    converges, limit, map_ids: Sequence[str]):
+def _check_theorems(conditions: Sequence[Condition], shape: tuple, map_id: str):
     """Finite spaces are compact and complete, so every satisfied condition
     carries its theorem's conclusion unconditionally; a deviating row can
     only mean the implementation is broken.
 
-    Row r has ``verdicts[k][r]`` for condition k, ``count[r]`` fixed
-    points, ``converges[r]`` and the index ``limit[r]`` of its common
-    limit (-1 for none).  All rows are checked at once; the error names
-    the first deviating row, by ``map_ids[r]``, and its first deviating
-    condition.
+    ``shape`` is a row without its id, (satisfies, fixed_point_count,
+    converges, common_limit); the error names ``map_id`` and the first
+    deviating condition.
     """
-    attracts = (count == 1) & converges & (limit >= 0)
-    failures, bad = [], np.zeros(len(count), dtype=bool)
-    for cond, holds in zip(conditions, verdicts):
-        picard = holds & ~attracts if cond.picard_converges else holds & False
-        fixed = holds & ((count != 1) if cond.unique_fixed_point else (count < 1))
-        failures.append((cond, picard, fixed))
-        bad |= picard | fixed
-    if not bad.any():
-        return
-    r = int(np.argmax(bad))
-    for cond, picard, fixed in failures:
-        if picard[r]:
+    satisfies, count, converges, limit = shape
+    attracts = count == 1 and converges and limit is not None
+    for cond, (_, holds) in zip(conditions, satisfies):
+        if holds and cond.picard_converges and not attracts:
             raise TheoremContradictionError(
-                f"map {map_ids[r]} satisfies {cond.label()} exhaustively "
-                f"but has {count[r]} fixed points, converges={bool(converges[r])}")
-        if fixed[r]:
+                f"map {map_id} satisfies {cond.label()} exhaustively "
+                f"but has {count} fixed points, converges={converges}")
+        if holds and (count != 1 if cond.unique_fixed_point else count < 1):
             raise TheoremContradictionError(
-                f"map {map_ids[r]} satisfies {cond.label()} but has "
-                f"{count[r]} fixed points")
+                f"map {map_id} satisfies {cond.label()} but has "
+                f"{count} fixed points")
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +198,10 @@ def _verdict_table(space: FiniteSpace, cond: Condition) -> np.ndarray:
 def _lookups(space: FiniteSpace, conditions: Sequence[Condition]):
     """(table, m) per condition: its verdict is ``table`` read at T^m.
 
-    A pair-local condition reads its own table, at m = 0.
     ``iterated_kannan(m)`` is the strict inequality at (T^m x, T^m y),
-    so for m >= 1 it reads the strict table.  Equal conditions share a
-    table, and tables are filled in condition order.
+    so it reads the strict table; every other condition reads its own,
+    at m = 0.  Equal conditions share a table, and tables are filled in
+    condition order.
     """
     tables = {}
 
@@ -218,16 +210,8 @@ def _lookups(space: FiniteSpace, conditions: Sequence[Condition]):
             tables[cond] = _verdict_table(space, cond)
         return tables[cond]
 
-    lookups = []
-    for cond in conditions:
-        if cond.pair_local:
-            lookups.append((table(cond), 0))
-        elif isinstance(cond, IteratedKannan):
-            lookups.append((table(StrictKannan()), cond.m))
-        else:
-            raise ValueError(f"the census decides pair-local conditions and "
-                             f"iterated_kannan only, not {cond.label()}")
-    return lookups
+    return [(table(StrictKannan()), cond.m) if isinstance(cond, IteratedKannan)
+            else (table(cond), 0) for cond in conditions]
 
 
 def _power(T: np.ndarray, k: int) -> np.ndarray:
@@ -268,11 +252,40 @@ def _shifted_pair_verdicts(strict: np.ndarray, T: np.ndarray, m: int) -> np.ndar
     return np.array(entries, dtype=bool).reshape(-1, len(T))
 
 
+def _map_ids(n: int) -> Iterator[str]:
+    """Every map id string in numeric order (n <= 7: a digit per character)."""
+    return map("".join, itertools.product("0123456789"[:n], repeat=n))
+
+
+@dataclass(frozen=True, eq=False)
+class Census:
+    """The rows as one int32 code per map id into ``shapes``, which holds
+    each distinct row without its id, its shape, once.  Indexing by map id
+    and iteration give :class:`CensusRow` rows in map-id order.
+    """
+
+    space: FiniteSpace
+    conditions: tuple[Condition, ...]
+    codes: np.ndarray
+    shapes: list[tuple]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, map_id: int) -> CensusRow:
+        return CensusRow(map_id_string(map_id, self.space.size),
+                         *self.shapes[self.codes[map_id]])
+
+    def __iter__(self) -> Iterator[CensusRow]:
+        return (CensusRow(map_id, *self.shapes[c])
+                for map_id, c in zip(_map_ids(self.space.size), self.codes.tolist()))
+
+
 def enumerate_census(space: FiniteSpace,
                      conditions: Sequence[Condition] = (StrictKannan(),)
-                     ) -> list[CensusRow]:
-    """One row per self-map, in numeric map-id order, each checked against
-    the theorems of the conditions it satisfies.
+                     ) -> Census:
+    """Every self-map's row, each checked against the theorems of the
+    conditions it satisfies; every check has run when this returns.
 
     The cross-check sample is every map id when there are fewer than
     2,000 maps, else every (n^n // 1000)-th id and the last: each is
@@ -289,68 +302,87 @@ def enumerate_census(space: FiniteSpace,
     limit_labels = (*space.labels, None)  # index -1: no common limit
     place = n ** np.arange(n - 1, -1, -1)
     step = max(1, total // 1000)
-    satisfies = {}  # one tuple per verdict pattern, shared by its rows
-    rows = []
+    census = Census(space, conditions, np.empty(total, dtype=np.int32), [])
+    known = {}  # shape -> its code
     for start in range(0, total, CHUNK_MAPS):
         ids = np.arange(start, min(start + CHUNK_MAPS, total))
         T = ids[:, None] // place % n  # digit i: the image index of labels[i]
         verdicts = np.array([(_shifted_pair_verdicts(table, T, m) if m
                               else _pair_verdicts(table, T)).all(axis=0)
                              for table, m in lookups],
-                            dtype=bool).reshape(len(lookups), len(ids))
+                            dtype=bool).reshape(len(lookups), len(T))
         count = (T == np.arange(n)).sum(axis=1)
         # an orbit's tail has at most n - 1 points, so T^(n-1) x lies on
         # the cycle it enters, which is a fixed point iff the orbit converges
         ends = _power(T, n - 1)
         converges = (np.take_along_axis(T, ends, axis=1) == ends).all(axis=1)
         limit = np.where(converges & (ends == ends[:, :1]).all(axis=1), ends[:, 0], -1)
-        # n <= 7, so each digit is one character
-        map_ids = (T.astype(np.uint8) + ord("0")).view(f"S{n}").ravel().astype(str).tolist()
-        for map_id, held, c, conv, lim in zip(map_ids, verdicts.T.tolist(), count.tolist(),
-                                              converges.tolist(), limit.tolist()):
-            key = tuple(held)
-            if key not in satisfies:
-                satisfies[key] = tuple(zip(names, key))
-            rows.append(CensusRow(map_id, satisfies[key], c, conv, limit_labels[lim]))
+        # a byte per column, so a row's bytes are its shape's key
+        key = np.vstack([verdicts, count, converges, limit + 1]).T.astype(np.uint8, order="C")
+        _, first, local = np.unique(key.view(f"V{len(key.T)}").ravel(),
+                                    return_index=True, return_inverse=True)
+        shapes = [(tuple(zip(names, held)), c, conv, limit_labels[lim])
+                  for held, c, conv, lim in zip(verdicts.T[first].tolist(), count[first].tolist(),
+                                                converges[first].tolist(), limit[first].tolist())]
+        # the shapes first seen in this chunk, in the order of their first maps
+        new = [j for j in np.argsort(first).tolist() if shapes[j] not in known]
+        for j in new:
+            known[shapes[j]] = len(census.shapes)
+            census.shapes.append(shapes[j])
+        census.codes[ids] = np.array([known[shape] for shape in shapes], dtype=np.int32)[local]
         for map_id in ids[(ids % step == 0) | (ids == total - 1)].tolist():
-            if classify_map(space, map_id, conditions) != rows[map_id]:
+            if classify_map(space, map_id, conditions) != census[map_id]:
                 raise TheoremContradictionError(
                     f"census kernel and classify_map disagree on map "
-                    f"{rows[map_id].map_id}")
-        _check_theorems(conditions, verdicts, count, converges, limit, map_ids)
-    return rows
+                    f"{census[map_id].map_id}")
+        # a row is its shape, so each shape is checked once, at its first map
+        for j in new:
+            _check_theorems(conditions, shapes[j], map_id_string(start + int(first[j]), n))
+    return census
 
 
-def census_csv(rows: Sequence[CensusRow],
-               conditions: Sequence[Condition]) -> str:
-    """The census as CSV; each distinct row apart from its id is written
-    by ``csv.writer`` once, and the rows that share it reuse the text.
-    """
+def _csv_line(fields) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    labels = [c.label() for c in conditions]
-    writer.writerow(["map_id", *labels, "fixed_point_count",
-                     "converges", "common_limit"])
-    parts = [buf.getvalue()]
-    shapes = {}
-    for row in rows:
-        key = (row.satisfies, row.fixed_point_count,
-               row.picard_converges_from_all_starts, row.common_limit)
-        rest = shapes.get(key)
-        if rest is None:
-            verdicts = dict(row.satisfies)
-            buf.seek(0)
-            buf.truncate()
-            # an empty first field is written as nothing, and map ids are
-            # digits, which csv never quotes
-            writer.writerow(["",
-                             *[str(verdicts[l]).lower() for l in labels],
-                             row.fixed_point_count,
-                             str(row.picard_converges_from_all_starts).lower(),
-                             row.common_limit if row.common_limit is not None else ""])
-            rest = shapes[key] = buf.getvalue()
-        parts.append(row.map_id + rest)
-    return "".join(parts)
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
+def render_census(census: Census, config: dict, fmt: str) -> Iterator[str]:
+    """The census as CSV under a ``# config`` line, or as the JSON that
+    ``json.dumps(sort_keys=True, indent=2)`` writes plus a newline, one
+    piece per chunk of map ids.  A row is its shape's text, rendered once
+    per shape, around its map id.
+    """
+    if fmt == "json":
+        frame = json.dumps({"config": config, "rows": [], "space": census.space.to_json()},
+                           sort_keys=True, indent=2) + "\n"
+        head, _, tail = frame.partition('\n  "rows": [],\n')
+        opening, separator, closing = head + '\n  "rows": [\n', ",\n", "\n  ],\n" + tail
+        # quotes inside a JSON string are escaped, so this is the id's key
+        templates = [("    " + before + key, after) for before, key, after in (
+            json.dumps({"map_id": "", "satisfies": dict(satisfies), "fixed_point_count": count,
+                        "converges": converges, "common_limit": limit},
+                       sort_keys=True, indent=2).replace("\n", "\n    ").partition('"map_id": "')
+            for satisfies, count, converges, limit in census.shapes)]
+    else:
+        opening = "# " + json.dumps(config, sort_keys=True) + "\n" + _csv_line(
+            ["map_id", *[c.label() for c in census.conditions],
+             "fixed_point_count", "converges", "common_limit"])
+        separator = closing = ""
+        # an empty first field is written as nothing, map ids are digits,
+        # which csv never quotes, and None is written as nothing
+        templates = [("", _csv_line(["", *[str(held).lower() for _, held in satisfies],
+                                     count, str(converges).lower(), limit]))
+                     for satisfies, count, converges, limit in census.shapes]
+    map_ids = _map_ids(census.space.size)
+    yield opening
+    for start in range(0, len(census), CHUNK_MAPS):
+        if start:
+            yield separator
+        # the chunk's codes come first: zip stops on them, before taking an id
+        yield separator.join([templates[c][0] + map_id + templates[c][1] for c, map_id
+                              in zip(census.codes[start:start + CHUNK_MAPS].tolist(), map_ids)])
+    yield closing
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,12 @@ contract for scripting:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from .rationals import parse_scalar, scalar_text
 from .spaces import (ClosureError, FiniteSpace, HalfLineUsual, MembershipError,
@@ -29,8 +32,8 @@ from .picard import orbit_trace_csv, run_picard, uniqueness_probe, verify_fixed_
 from .completeness import (build_reciprocal_witness, check_gornicki_n,
                            construct_counterexample_map, scan_fixed_point_free,
                            verify_counterexample, verify_gornicki_answer)
-from .census import (TheoremContradictionError, census_csv, enumerate_census,
-                     random_finite_space)
+from .census import (TheoremContradictionError, enumerate_census, random_finite_space,
+                     render_census)
 
 
 def render_json(obj) -> str:
@@ -178,7 +181,7 @@ def build_gallery(gornicki_n: int, prefix: int) -> dict:
     }
 
 
-def cmd_gallery(args) -> tuple[int, str]:
+def cmd_gallery(args) -> tuple[int, Iterable[str]]:
     result = build_gallery(args.gornicki_n, args.prefix)
     if args.format == "json":
         text = render_json(result)
@@ -194,8 +197,8 @@ def cmd_gallery(args) -> tuple[int, str]:
     if not result["ok"]:
         failing = next(s["name"] for s in result["sections"] if not s["ok"])
         print(f"gallery: first failing section: {failing}", file=sys.stderr)
-        return 1, text
-    return 0, text
+        return 1, [text]
+    return 0, [text]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +216,7 @@ def _resolve_pairs_arg(space, pairs_arg):
                  for x, y in raw)
 
 
-def cmd_check(args) -> tuple[int, str]:
+def cmd_check(args) -> tuple[int, Iterable[str]]:
     space = load_space(_load_json_arg(args.space))
     mapping = load_map(_load_json_arg(args.map), space)
     condition = load_condition(_load_json_arg(args.condition))
@@ -234,15 +237,15 @@ def cmd_check(args) -> tuple[int, str]:
         got = "holds" if report.holds else "violated"
         if got != args.expect:
             print(f"check: expected {args.expect}, got {got}", file=sys.stderr)
-            return 1, text
-    return 0, text
+            return 1, [text]
+    return 0, [text]
 
 
 # ---------------------------------------------------------------------------
 # iterate
 # ---------------------------------------------------------------------------
 
-def cmd_iterate(args) -> tuple[int, str]:
+def cmd_iterate(args) -> tuple[int, Iterable[str]]:
     space = load_space(_load_json_arg(args.space))
     mapping = load_map(_load_json_arg(args.map), space)
     x0 = _parse_point(space, args.x0)
@@ -250,12 +253,11 @@ def cmd_iterate(args) -> tuple[int, str]:
     config = {"command": "iterate", "space": space.to_json(),
               "map": mapping.to_json(), "x0": args.x0, "horizon": args.horizon}
     if args.format == "csv":
-        header = "# " + json.dumps(config, sort_keys=True) + "\n"
-        return 0, header + orbit_trace_csv(run.orbit)
+        return 0, ["# " + json.dumps(config, sort_keys=True) + "\n", orbit_trace_csv(run.orbit)]
     result = {"config": config, "run": run.to_json()}
     if args.format == "json":
-        return 0, render_json(result)
-    return 0, "\n".join(_human_lines(result)) + "\n"
+        return 0, [render_json(result)]
+    return 0, ["\n".join(_human_lines(result)) + "\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -271,54 +273,22 @@ _DEFAULT_CENSUS_CONDITIONS = [
 ]
 
 
-def _census_json(config: dict, space, rows) -> str:
-    """render_json of the census document, rows written from templates.
-
-    Each distinct row apart from its map id is rendered by json.dumps
-    once, as the text before and after the id; the rows that share it
-    reuse that text, so the bytes are those render_json would write.
-    """
-    frame = render_json({"config": config, "rows": [], "space": space.to_json()})
-    head, _, tail = frame.partition('\n  "rows": [],\n')
-    templates = {}
-    parts = []
-    for r in rows:
-        key = (r.satisfies, r.fixed_point_count,
-               r.picard_converges_from_all_starts, r.common_limit)
-        template = templates.get(key)
-        if template is None:
-            text = json.dumps({"map_id": "", "satisfies": dict(r.satisfies),
-                               "fixed_point_count": r.fixed_point_count,
-                               "converges": r.picard_converges_from_all_starts,
-                               "common_limit": r.common_limit},
-                              sort_keys=True, indent=2).replace("\n", "\n    ")
-            # quotes inside a JSON string are escaped, so this is the key
-            before, key_text, after = text.partition('"map_id": "')
-            template = templates[key] = ("    " + before + key_text, after)
-        parts.append(template[0] + r.map_id + template[1])
-    return "".join([head, '\n  "rows": [\n', ",\n".join(parts), "\n  ],\n", tail])
-
-
-def cmd_census(args) -> tuple[int, str]:
+def cmd_census(args) -> tuple[int, Iterable[str]]:
     space = random_finite_space(args.size, args.seed, mode=args.mode)
     condition_spec = (_load_json_arg(args.conditions)
                       if args.conditions else _DEFAULT_CENSUS_CONDITIONS)
-    conditions = [load_condition(c) for c in condition_spec]
-    rows = enumerate_census(space, conditions)
+    census = enumerate_census(space, [load_condition(c) for c in condition_spec])
     # the embedded config holds exactly what determines the rows
     config = {"command": "census", "size": args.size, "seed": args.seed,
               "mode": args.mode, "conditions": condition_spec}
-    if args.format == "json":
-        return 0, _census_json(config, space, rows)
-    header = "# " + json.dumps(config, sort_keys=True) + "\n"
-    return 0, header + census_csv(rows, conditions)
+    return 0, render_census(census, config, args.format)
 
 
 # ---------------------------------------------------------------------------
 # counterexample
 # ---------------------------------------------------------------------------
 
-def cmd_counterexample(args) -> tuple[int, str]:
+def cmd_counterexample(args) -> tuple[int, Iterable[str]]:
     witness = build_reciprocal_witness()
     cmap = construct_counterexample_map(witness)
     # the cheap index-rule scan refuses a bad --scan before any prefix pair
@@ -336,8 +306,8 @@ def cmd_counterexample(args) -> tuple[int, str]:
         text = "\n".join(_human_lines(result)) + "\n"
     if not (verification.ok and fixed_free):
         print("counterexample: verification failed", file=sys.stderr)
-        return 1, text
-    return 0, text
+        return 1, [text]
+    return 0, [text]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +375,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, text = args.func(args)
+        code, parts = args.func(args)
     except (MembershipError, ClosureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -416,11 +386,12 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+              else contextlib.nullcontext(sys.stdout)) as out:
+            out.writelines(parts)
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -43,14 +43,14 @@ class Condition:
     has a fixed point, exactly one when ``unique_fixed_point``, and Picard
     iteration reaches it from every start when ``picard_converges``.
 
-    ``pair_local`` declares that a verdict reads only x, y, Tx and Ty, so
-    two maps that agree on x and y get the same verdict on that pair.
+    Verdicts are pair-local, except ``iterated_kannan(m)``'s for m >= 1:
+    a verdict reads only x, y, Tx and Ty, so two maps that agree on x and
+    y get the same verdict on that pair.
     """
 
     kind: str
     unique_fixed_point = True
     picard_converges = False
-    pair_local = True
 
     def label(self) -> str:
         return self.kind
@@ -233,10 +233,6 @@ class IteratedKannan(Condition):
             raise ValueError("iteration shift m must be an integer >= 0")
         if self.m > MAX_HORIZON:
             raise ValueError(f"iteration shift m capped at {MAX_HORIZON}, got {self.m}")
-
-    @property
-    def pair_local(self) -> bool:
-        return self.m == 0  # m >= 1 reads T^2 x and beyond
 
     def label(self) -> str:
         return f"iterated_kannan({self.m})"

@@ -2,14 +2,13 @@
 
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from kannanlab.census import (TheoremContradictionError, _check_theorems,
-                              census_csv, classify_map, enumerate_census,
+                              classify_map, enumerate_census,
                               khan_float_crosscheck, map_from_id,
                               map_id_string, random_finite_space,
-                              tightness_scan)
+                              render_census, tightness_scan)
 from kannanlab.conditions import (ChenYeh, Fisher, KannanK, Khan, StrictKannan)
 from kannanlab.spaces import FiniteSpace, verify_metric_axioms
 
@@ -113,53 +112,49 @@ def test_theorem_consistency_on_sampled_spaces():
                     assert row.fixed_point_count >= 1
 
 
-def check_theorems(conditions, verdicts, count, converges, limit, map_ids):
-    """The vectorized theorem check on literal rows: ``verdicts[k][r]`` is
-    condition k on row r, ``limit[r]`` a label index or -1 for none."""
-    _check_theorems(conditions,
-                    np.array(verdicts, dtype=bool).reshape(len(conditions), len(map_ids)),
-                    np.array(count), np.array(converges, dtype=bool),
-                    np.array(limit), map_ids)
-
-
 def test_contradiction_error_fires_on_forged_rows():
     conds = [StrictKannan(), Fisher()]
-    ids = ["00", "01", "10", "11"]
-    # row 00 is genuine; 01 claims strict with two fixed points, 10
-    # claims fisher with none: the first deviating row is named
+    # a strict row with two fixed points, a fisher row with none
     with pytest.raises(TheoremContradictionError,
                        match="^map 01 satisfies strict_kannan exhaustively but "
                              "has 2 fixed points, converges=True$"):
-        check_theorems(conds, [[True, True, False, True], [True, False, True, True]],
-                       [1, 2, 0, 1], [True, True, False, True], [0, -1, -1, 1], ids)
+        _check_theorems(conds, ((("strict_kannan", True), ("fisher", False)), 2, True, None),
+                        "01")
     with pytest.raises(TheoremContradictionError,
                        match="^map 10 satisfies fisher but has 0 fixed points$"):
-        check_theorems(conds, [[True, False, False, True], [True, False, True, True]],
-                       [1, 2, 0, 1], [True, True, False, True], [0, -1, -1, 1], ids)
+        _check_theorems(conds, ((("strict_kannan", False), ("fisher", True)), 0, False, None),
+                        "10")
     # within a row, the first deviating condition is named
     with pytest.raises(TheoremContradictionError, match="^map 10 satisfies fisher "):
-        check_theorems([Fisher(), StrictKannan()], [[False, True], [False, True]],
-                       [1, 0], [True, False], [0, -1], ["00", "10"])
+        _check_theorems([Fisher(), StrictKannan()],
+                        ((("fisher", True), ("strict_kannan", True)), 0, False, None), "10")
     # a genuine census passes every check
-    sp = two_point_unit_space()
     conds = [StrictKannan(), Fisher(), Khan(), ChenYeh(F(0), F(0))]
-    rows = enumerate_census(sp, conds)
-    check_theorems(conds, [[r.satisfies[k][1] for r in rows] for k in range(len(conds))],
-                   [r.fixed_point_count for r in rows],
-                   [r.picard_converges_from_all_starts for r in rows],
-                   [-1 if r.common_limit is None else sp.labels.index(r.common_limit)
-                    for r in rows],
-                   [r.map_id for r in rows])
+    for r in enumerate_census(two_point_unit_space(), conds):
+        _check_theorems(conds, (r.satisfies, r.fixed_point_count,
+                                r.picard_converges_from_all_starts, r.common_limit), r.map_id)
+
+
+def test_the_census_names_the_first_deviating_map(monkeypatch):
+    # a verdict that always holds makes every map strict: 01 (two fixed
+    # points) is the first map to break the theorem, and 10 (none) the
+    # next, though its shape sorts first
+    monkeypatch.setattr(StrictKannan, "verdict", lambda self, d, image, x, y: (True, 0, 1))
+    with pytest.raises(TheoremContradictionError,
+                       match="^map 01 satisfies strict_kannan exhaustively but "
+                             "has 2 fixed points, converges=True$"):
+        enumerate_census(two_point_unit_space(), [StrictKannan()])
 
 
 def test_census_csv_shape():
     sp = two_point_unit_space()
     conds = [StrictKannan()]
-    text = census_csv(enumerate_census(sp, conds), conds)
+    text = "".join(render_census(enumerate_census(sp, conds), {"seed": 0}, "csv"))
     lines = text.strip().splitlines()
-    assert lines[0] == "map_id,strict_kannan,fixed_point_count,converges,common_limit"
-    assert lines[1] == "00,true,1,true,a"
-    assert len(lines) == 5
+    assert lines[0] == '# {"seed": 0}'
+    assert lines[1] == "map_id,strict_kannan,fixed_point_count,converges,common_limit"
+    assert lines[2] == "00,true,1,true,a"
+    assert len(lines) == 6
 
 
 def test_tightness_scan_two_point_space():
@@ -201,9 +196,10 @@ def test_khan_float_crosscheck_small_spaces():
 def test_chen_yeh_conclusion_depends_on_uniqueness_bounds():
     plain, bounded = ChenYeh(F(0), F(0)), ChenYeh(F(0), F(0), uniqueness_bounds=True)
     # two fixed points, each a limit: allowed without the uniqueness bounds
-    check_theorems([plain], [[True]], [2], [True], [-1], ["01"])
+    label = plain.label()
+    _check_theorems([plain], (((label, True),), 2, True, None), "01")
     with pytest.raises(TheoremContradictionError):
-        check_theorems([bounded], [[True]], [2], [True], [-1], ["01"])
+        _check_theorems([bounded], (((label, True),), 2, True, None), "01")
     # no fixed point is never allowed
     with pytest.raises(TheoremContradictionError):
-        check_theorems([plain], [[True]], [0], [False], [-1], ["10"])
+        _check_theorems([plain], (((label, True),), 0, False, None), "10")

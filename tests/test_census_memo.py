@@ -24,7 +24,7 @@ from kannanlab.census import (CensusRow, TheoremContradictionError,
                               _shifted_pair_verdicts, _verdict_table,
                               enumerate_census, khan_float_crosscheck,
                               map_from_id, map_id_string, random_finite_space,
-                              tightness_scan)
+                              render_census, tightness_scan)
 from kannanlab.conditions import (EXHAUSTIVE, ChenYeh, Fisher, IteratedKannan,
                                   KannanK, Khan, StrictKannan,
                                   evaluate_condition)
@@ -77,7 +77,24 @@ def reference_rows(space, conditions):
 @example(size=5, seed=2, mode="line", conditions=[IteratedKannan(2), Fisher()])
 def test_census_rows_equal_the_plain_reference(size, seed, mode, conditions):
     space = random_finite_space(size, seed=seed, mode=mode)
-    assert enumerate_census(space, conditions) == reference_rows(space, conditions)
+    assert list(enumerate_census(space, conditions)) == reference_rows(space, conditions)
+
+
+@pytest.mark.parametrize("mode", ["band", "line"])
+@pytest.mark.parametrize("size", [4, 5])
+def test_chunks_that_do_not_divide_the_maps_change_no_row_or_byte(size, mode, monkeypatch):
+    space = random_finite_space(size, seed=1, mode=mode)
+    conditions = [*DEFAULT, IteratedKannan(1)]
+
+    def rows_and_documents():
+        census = enumerate_census(space, conditions)
+        return list(census), ["".join(render_census(census, {"size": size}, fmt))
+                              for fmt in ("csv", "json")]
+
+    whole = rows_and_documents()
+    monkeypatch.setattr(kannanlab.census, "CHUNK_MAPS", 97)
+    assert size ** size > 97 and size ** size % 97 != 0
+    assert rows_and_documents() == whole
 
 
 def sampled_ids(total):
@@ -88,8 +105,9 @@ def sampled_ids(total):
 
 
 def test_pair_local_verdicts_run_at_most_once_per_pair_and_images(monkeypatch):
-    # the tables decide each (pair, Tx, Ty) once; the only other calls
-    # are the plain evaluations of the sampled maps
+    # the tables decide each (pair, Tx, Ty) once, and iterated_kannan(m),
+    # m = 0 included, reads the strict table; the only other calls are
+    # the plain evaluations of the sampled maps
     space = random_finite_space(5, seed=2, mode="line")
     n = space.size
     conditions = [*DEFAULT, *ITERATED]
@@ -105,12 +123,19 @@ def test_pair_local_verdicts_run_at_most_once_per_pair_and_images(monkeypatch):
                 calls[id(self)] += 1
             return _inner(self, d, image, x, y)
         monkeypatch.setattr(cls, "verdict", counted)
+    filled = []
+    fill_table = kannanlab.census._verdict_table
+    monkeypatch.setattr(kannanlab.census, "_verdict_table",
+                        lambda space, cond: filled.append(cond) or fill_table(space, cond))
     enumerate_census(space, conditions)
+    assert filled == DEFAULT  # the strict table serves the iterated conditions
     fill = comb(n, 2) * n * n
     for c in conditions:
-        # m >= 1 reads the strict table: no table of its own
-        expected = plain[id(c)] + (fill if c.pair_local else 0)
+        expected = plain[id(c)] + (0 if isinstance(c, IteratedKannan) else fill)
         assert calls[id(c)] == expected, (c.label(), calls[id(c)], expected)
+    filled.clear()
+    enumerate_census(space, ITERATED)
+    assert filled == [StrictKannan()]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

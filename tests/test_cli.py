@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON schema conformance, reproducibility."""
 
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -313,15 +314,53 @@ def test_census_repeated_condition_keeps_one_json_key_and_every_csv_column(fmt):
      {"kind": "kannan_k", "k": "1/4"}],
 ])
 def test_census_json_template_writes_what_render_json_writes(conditions):
-    from kannanlab.census import enumerate_census, random_finite_space
-    from kannanlab.cli import _census_json, render_json
+    from kannanlab.census import enumerate_census, random_finite_space, render_census
+    from kannanlab.cli import render_json
     from kannanlab.conditions import load_condition
     space = random_finite_space(4, seed=2, mode="line")
-    rows = enumerate_census(space, [load_condition(c) for c in conditions])
+    census = enumerate_census(space, [load_condition(c) for c in conditions])
     config = {"command": "census", "conditions": conditions, "rows": []}
     document = {"config": config, "space": space.to_json(),
                 "rows": [{"map_id": r.map_id, "satisfies": dict(r.satisfies),
                           "fixed_point_count": r.fixed_point_count,
                           "converges": r.picard_converges_from_all_starts,
-                          "common_limit": r.common_limit} for r in rows]}
-    assert _census_json(config, space, rows) == render_json(document)
+                          "common_limit": r.common_limit} for r in census]}
+    assert "".join(render_census(census, config, "json")) == render_json(document)
+
+
+def test_a_contradiction_in_the_last_census_chunk_writes_no_byte(monkeypatch, capsys,
+                                                                 tmp_path):
+    import kannanlab.census
+    from kannanlab import cli
+    fill = kannanlab.census._verdict_table
+
+    def flipped(space, cond):
+        # every pair (p0, p1) sent to (p3, p3) gets the wrong verdict: the
+        # maps 33xx, ids 240-255, all in the last chunk of ids 194-255
+        table = fill(space, cond)
+        table[0, 1, 3, 3] = not table[0, 1, 3, 3]
+        return table
+
+    monkeypatch.setattr(kannanlab.census, "_verdict_table", flipped)
+    monkeypatch.setattr(kannanlab.census, "CHUNK_MAPS", 97)
+    out = tmp_path / "census.csv"
+    argv = ["census", "--size", "4", "--seed", "1", "--mode", "line"]
+    for extra in ([], ["--format", "json"], ["--out", str(out)]):
+        assert cli.main(argv + extra) == 4
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert re.fullmatch(r"THEOREM CONTRADICTION \(implementation defect\): census "
+                            r"kernel and classify_map disagree on map 33\d\d\n", stderr)
+    assert not out.exists()
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    # the census is written chunk by chunk, so a reader that closes the
+    # pipe, as `| head` does, leaves writes that fail with EPIPE
+    proc = subprocess.Popen([sys.executable, "-m", "kannanlab.cli", "census", "--size", "5"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b'# {"command": "census"')
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

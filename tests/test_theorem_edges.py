@@ -7,7 +7,6 @@ row that breaks only the Picard branch of the theorem check.
 
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from kannanlab.census import (TheoremContradictionError, _check_theorems,
@@ -88,5 +87,5 @@ def test_contradiction_error_fires_on_a_non_converging_unique_fixed_point():
     # one fixed point satisfies uniqueness, so only the Picard branch
     # can catch a strict-Kannan row whose iteration fails to converge
     with pytest.raises(TheoremContradictionError, match="converges=False"):
-        _check_theorems([StrictKannan()], np.array([[True]]), np.array([1]),
-                        np.array([False]), np.array([-1]), ["012"])
+        _check_theorems([StrictKannan()], ((("strict_kannan", True),), 1, False, None),
+                        "012")
