@@ -119,9 +119,6 @@ MUTANTS = [
      "            and (t - 1 == n0 or not w.tail_bound(t - 1) < half_gap))",
      "            )", None),
     ("src/kannanlab/completeness.py",
-     "        if (n - 1) % step == 0 or n == count:",
-     "        if (n - 1) % step == 0:", None),
-    ("src/kannanlab/completeness.py",
      "        if w.term_index(w.term(n)) != n:\n            return False\n",
      "", None),
     ("src/kannanlab/completeness.py",
@@ -134,8 +131,8 @@ MUTANTS = [
      "        if self.m > MAX_HORIZON:",
      "        if self.m > MAX_HORIZON + 1:", None),
     ("src/kannanlab/census.py",
-     "    return np.array([table[x, y][T[:, x], T[:, y]]",
-     "    return np.array([table[x, y][T[:, y], T[:, x]]", None),
+     "    return np.array([table[x, y].ravel().take(T[:, x] * n + T[:, y])",
+     "    return np.array([table[x, y].ravel().take(T[:, y] * n + T[:, x])", None),
     ("src/kannanlab/census.py",
      "    U = _power(T, m)",
      "    U = _power(T, m - 1)", None),
@@ -145,9 +142,6 @@ MUTANTS = [
     ("src/kannanlab/census.py",
      "        ends = _power(T, n - 1)",
      "        ends = _power(T, n - 2)", None),
-    ("src/kannanlab/census.py",
-     "        for map_id in ids[(ids % step == 0) | (ids == total - 1)].tolist():",
-     "        for map_id in ids[ids % step == 0].tolist():", None),
     ("src/kannanlab/census.py",
      "    return [(table(StrictKannan()), cond.m) if isinstance(cond, IteratedKannan)",
      "    return [(table(StrictKannan()), 0) if isinstance(cond, IteratedKannan)", None),
@@ -163,6 +157,12 @@ MUTANTS = [
     ("src/kannanlab/census.py",
      "        if start:\n            yield separator\n",
      "", None),
+    ("src/kannanlab/spaces.py",
+     "    return [*range(0, total - 1, step), *range(max(0, total - 1), total)]",
+     "    return [*range(0, total - 1, step)]", None),
+    ("src/kannanlab/spaces.py",
+     "    step = max(1, total // 1000)",
+     "    step = max(1, total // 1000) + 1", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

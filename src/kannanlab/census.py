@@ -19,9 +19,9 @@ Maps are taken 2^16 ids at a time as numpy digit arrays;
 points, convergence and the common limit come from a power of T.  A
 :class:`Census` is one int32 code per map id into its distinct rows
 without ids, its shapes; the theorem check runs once per shape.  The
-plain per-map route, :func:`classify_map`, re-decides a stated sample of
-maps as the kernel's cross-check, and a row that differs raises.  All
-checks run before :func:`render_census` writes a byte, chunk by chunk.
+plain per-map route, :func:`classify_map`, re-decides the ``stated_sample``
+of map ids as the kernel's cross-check, and a row that differs raises.
+All checks run before :func:`render_census` writes a byte, chunk by chunk.
 
 Map ids are base-|X| encodings of the assignment vector, enumerated in
 numeric order, so censuses are reproducible.
@@ -40,11 +40,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .conditions import (EXHAUSTIVE, Condition, IteratedKannan, StrictKannan,
+from .conditions import (EXHAUSTIVE, Condition, IteratedKannan, Khan, StrictKannan,
                          evaluate_condition)
 from .maps import FixedPointReached, TableMap, orbit
-from .rationals import lt_sqrt
-from .spaces import FiniteSpace, TheoremContradictionError
+from .spaces import FiniteSpace, TheoremContradictionError, stated_sample
 
 MAX_CENSUS_MAPS = 10 ** 7
 # the largest space size whose n^n self-maps stay within the cap
@@ -228,7 +227,7 @@ def _power(T: np.ndarray, k: int) -> np.ndarray:
 def _pair_verdicts(table: np.ndarray, T: np.ndarray) -> np.ndarray:
     """(pairs, maps): V[x, y, Tx, Ty] for each pair x < y of each map."""
     n = T.shape[1]
-    return np.array([table[x, y][T[:, x], T[:, y]]
+    return np.array([table[x, y].ravel().take(T[:, x] * n + T[:, y])
                      for x, y in itertools.combinations(range(n), 2)],
                     dtype=bool).reshape(-1, len(T))
 
@@ -287,10 +286,8 @@ def enumerate_census(space: FiniteSpace,
     """Every self-map's row, each checked against the theorems of the
     conditions it satisfies; every check has run when this returns.
 
-    The cross-check sample is every map id when there are fewer than
-    2,000 maps, else every (n^n // 1000)-th id and the last: each is
-    re-decided by :func:`classify_map`, and a row that differs raises
-    :class:`TheoremContradictionError`.
+    The map ids of ``stated_sample(n^n)`` are re-decided by :func:`classify_map`,
+    and a row that differs raises :class:`TheoremContradictionError`.
     """
     n = space.size
     total = n ** n
@@ -301,7 +298,7 @@ def enumerate_census(space: FiniteSpace,
     names = [c.label() for c in conditions]
     limit_labels = (*space.labels, None)  # index -1: no common limit
     place = n ** np.arange(n - 1, -1, -1)
-    step = max(1, total // 1000)
+    sample = stated_sample(total)
     census = Census(space, conditions, np.empty(total, dtype=np.int32), [])
     known = {}  # shape -> its code
     for start in range(0, total, CHUNK_MAPS):
@@ -330,7 +327,7 @@ def enumerate_census(space: FiniteSpace,
             known[shapes[j]] = len(census.shapes)
             census.shapes.append(shapes[j])
         census.codes[ids] = np.array([known[shape] for shape in shapes], dtype=np.int32)[local]
-        for map_id in ids[(ids % step == 0) | (ids == total - 1)].tolist():
+        for map_id in [i for i in sample if start <= i < start + CHUNK_MAPS]:
             if classify_map(space, map_id, conditions) != census[map_id]:
                 raise TheoremContradictionError(
                     f"census kernel and classify_map disagree on map "
@@ -440,8 +437,8 @@ def khan_float_crosscheck(space: FiniteSpace,
     """Compare exact geometric-mean verdicts with extended-float ones.
 
     For every distinct pair (x, y) and image pair (Tx, Ty), the exact
-    verdict lt_sqrt(d(Tx,Ty), d(x,Tx)*d(y,Ty)) is compared against the
-    float route in extended precision (x86 80-bit long double).  Keys
+    verdict, read from the Khan table V[x, y, Tx, Ty], is compared against
+    the float route in extended precision (x86 80-bit long double).  Keys
     whose float evaluation lands within ``boundary`` of the decision
     surface are skipped — there the float route has no claim to
     correctness.  Each key stands for the n^(n-2) maps that agree on the
@@ -449,7 +446,8 @@ def khan_float_crosscheck(space: FiniteSpace,
     mismatches), a mismatch being the key (x, y, Tx, Ty).
     """
     margin = _longdouble(boundary)
-    d = space._dist
+    d, at = space._dist, space._index  # at: a label's index in the table
+    exact = _verdict_table(space, Khan())
     weight = space.size ** (space.size - 2)  # unused on 1 point: no pair
     compared = skipped = 0
     mismatches = []
@@ -462,6 +460,6 @@ def khan_float_crosscheck(space: FiniteSpace,
                 skipped += weight
                 continue
             compared += weight
-            if (lhs_f < root_f) != lt_sqrt(lhs, u):
+            if (lhs_f < root_f) != exact[at[x], at[y], at[tx], at[ty]]:
                 mismatches.append((x, y, tx, ty))
     return compared, skipped, mismatches

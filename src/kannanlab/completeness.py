@@ -23,10 +23,11 @@ supplies ``target(n)`` in closed form: the *least* n' > n with
 tail_bound(n') < gap_lower_bound(n)/2 (the construction only needs
 existence; least-index selection makes it deterministic).  Every target
 served is checked to lie deeper than its source, and its leastness is
-checked exactly against the two Fraction bounds on a deterministic
-sample; either failure raises TheoremContradictionError.  On the
-reciprocal set {1/n}, every pair of a prefix is decided exactly on int64
-rows of the denominators, with a Fraction cross-check on a pair sample.
+checked exactly against the two Fraction bounds on the scan's
+``stated_sample``; either failure raises TheoremContradictionError.  On
+the reciprocal set {1/n}, every pair of a prefix is decided exactly on
+int64 rows of the denominators, with a Fraction cross-check on the
+``stated_sample`` of its pairs.
 
 The module also hosts the positive-integer gallery check: x -> 3x on the
 1 + |1/x - 1/y| metric is continuous and fixed point free on a complete
@@ -49,7 +50,8 @@ import numpy as np
 
 from .conditions import ConditionReport, StrictKannan, evaluate_condition
 from .maps import SelfMap, TripleNat
-from .spaces import GornickiNat, ReciprocalSet, Space, TheoremContradictionError
+from .spaces import (GornickiNat, ReciprocalSet, Space, TheoremContradictionError,
+                     stated_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +286,11 @@ def verify_counterexample(cm: ConstructedMap, prefix: int) -> CounterexampleRepo
     (``_strict_kannan_row``).  The rows are exact while no denominator
     exceeds ``_RECIPROCAL_SAFE_K`` (2^31 - 1, prefix 32,767 for the stock
     witness); a larger one is refused with ValueError before the first
-    row.  A deterministic sample of the pairs (``_cross_check_sample``) is
-    decided again by :func:`evaluate_condition` in Fraction arithmetic,
-    an independent route: a disagreement raises
-    TheoremContradictionError, and the report's violation witness is the
-    Fraction one.  A witness on any other space is refused with
-    ValueError.
+    row.  The pairs of ``_cross_check_sample`` are decided again by
+    :func:`evaluate_condition` in Fraction arithmetic, an independent
+    route: a disagreement raises TheoremContradictionError, and the
+    report's violation witness is the Fraction one.  A witness on any
+    other space is refused with ValueError.
 
     Also re-verifies that none of those terms is fixed: targets have
     strictly larger indices and terms are distinct.
@@ -404,20 +405,15 @@ def check_reciprocal_denominator(k_max: int) -> None:
 def _cross_check_sample(prefix: int, stop=None) -> list[tuple[int, int]]:
     """The index pairs i < j the Fraction route decides again, in pair order.
 
-    Every pair up to prefix 100, else every s-th pair in pair order (about
-    1000 of them) and the last pair.  When the rows stopped at the pair
-    ``stop``, only the sampled pairs before it, then ``stop`` itself.
+    The pairs at the ``stated_sample`` indices of the C(prefix, 2) pairs
+    in pair order.  When the rows stopped at the pair ``stop``, only the
+    sampled pairs before it, then ``stop`` itself.
     """
-    total = prefix * (prefix - 1) // 2
-    step = 1 if prefix <= 100 else total // 1000
-    sample, start = [], 0
-    for i in range(prefix - 1):
-        end = start + prefix - 1 - i
-        first = -(-start // step) * step  # the first multiple of step in the row
-        sample += [(i, i + 1 + p - start) for p in range(first, end, step)]
-        start = end
-    if sample and sample[-1] != (prefix - 2, prefix - 1):
-        sample.append((prefix - 2, prefix - 1))
+    row = np.arange(prefix - 1, 0, -1)  # row i holds the pairs (i, i+1..prefix-1)
+    starts = np.cumsum(row) - row  # the pair-order index of each row's first pair
+    p = np.array(stated_sample(prefix * (prefix - 1) // 2), dtype=np.int64)
+    i = np.searchsorted(starts, p, side="right") - 1
+    sample = list(zip(i.tolist(), (i + 1 + p - starts[i]).tolist()))
     if stop is not None:
         sample = [pair for pair in sample if pair < stop] + [stop]
     return sample
@@ -438,10 +434,9 @@ def scan_fixed_point_free(cm: ConstructedMap, count: int) -> bool:
     ``term_index(term(n)) == n`` is checked for each n, which proves the
     terms distinct (term_index is a left inverse); a repeat returns False.
     Target leastness is checked against the witness's Fraction bounds
-    (``check_target_is_least``) on a deterministic sample: every
-    (count // 1000)-th n from n = 1 (every n below count 2000), and the
-    last.  A count outside 1..``MAX_SCAN`` is refused with ValueError
-    before the first term.
+    (``check_target_is_least``) at the n whose index n - 1 is in
+    ``stated_sample(count)``.  A count outside 1..``MAX_SCAN`` is refused
+    with ValueError before the first term.
     """
     if count < 1:
         raise ValueError("scan count must be >= 1")
@@ -449,11 +444,11 @@ def scan_fixed_point_free(cm: ConstructedMap, count: int) -> bool:
         raise ValueError(f"scan count {count} exceeds {MAX_SCAN}, the largest "
                          "scan allowed")
     w = cm.witness
-    step = max(1, count // 1000)
+    sample = set(stated_sample(count))
     for n in range(1, count + 1):
         if w.term_index(w.term(n)) != n:
             return False
-        if (n - 1) % step == 0 or n == count:
+        if n - 1 in sample:
             cm.check_target_is_least(n)
         else:
             cm.target_index(n)
@@ -510,14 +505,14 @@ def verify_gornicki_answer(n: int) -> GornickiAnswerReport:
     denominator 6xy, exact for n up to ``_VECTOR_SAFE_N`` (about 1.24e9);
     a larger n is refused with ValueError before any pair is scanned.  A
     deterministic subsample is cross-checked against the Fraction-based
-    space metric, pair by pair (every pair up to n = 100, else about 1000).
+    space metric, pair by pair (``_cross_check_fraction``).
     """
     check_gornicki_n(n)
     pairs_checked, forms_ok, strict_ok, dist_ok, first_violation = _scan_pairs(n)
 
     fixed_point_free = all(3 * x != x for x in range(1, n + 1))
 
-    crossed = _cross_check_fraction(n, n * (n - 1) // 2 if n <= 100 else 1000)
+    crossed = _cross_check_fraction(n)
 
     return GornickiAnswerReport(n=n, pairs_checked=pairs_checked,
                                 closed_forms_match=forms_ok,
@@ -601,22 +596,20 @@ _VECTOR_SAFE_N = _least_index(
     lambda n: _largest_intermediate(n) > np.iinfo(np.int64).max, start=2) - 1
 
 
-def _cross_check_fraction(n: int, budget: int) -> int:
+def _cross_check_fraction(n: int) -> int:
     """Re-derive a deterministic pair subsample through the Fraction metric.
 
-    An independent route: distances come from the space object, the map
-    images from TripleNat, all in Fraction arithmetic; a disagreement
-    with the closed forms raises TheoremContradictionError.
+    Every pair up to n = 100, else a few hundred.  An independent route:
+    distances come from the space object, the map images from TripleNat,
+    all in Fraction arithmetic; a disagreement with the closed forms
+    raises TheoremContradictionError.
     """
     space = GornickiNat()
     t = TripleNat(space)
-    all_pairs = n * (n - 1) // 2
-    budget = min(budget, all_pairs)
-    if budget == all_pairs:
+    if n <= 100:
         sample = [(x, y) for x in range(1, n) for y in range(x + 1, n + 1)]
     else:
-        per_axis = max(2, int(budget ** 0.5))
-        step = max(1, (n - 1) // per_axis)
+        step = (n - 1) // 31  # about 31 grid values an axis, plus the end pairs
         sample = [(x, y) for x in range(1, n, step)
                   for y in range(x + 1, n + 1, step)]
         sample = sorted(set(sample + [(1, 2), (1, n), (n - 1, n)]))

@@ -34,6 +34,14 @@ class TheoremContradictionError(RuntimeError):
     """A verdict contradicted a proved theorem: the implementation is defective."""
 
 
+def stated_sample(total: int) -> list[int]:
+    """The 0-based indices, ascending, of the ``total`` items an in-run
+    cross-check decides again: every (total // 1000)-th index from 0
+    (every index below 2,000 items), and the last, each once."""
+    step = max(1, total // 1000)
+    return [*range(0, total - 1, step), *range(max(0, total - 1), total)]
+
+
 def point_text(p) -> str:
     """Render a point (rational value or finite-space label) as text."""
     if isinstance(p, str):

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import kannanlab.census
+import kannanlab.conditions
 from kannanlab.census import (CensusRow, TheoremContradictionError,
                               _shifted_pair_verdicts, _verdict_table,
                               enumerate_census, khan_float_crosscheck,
@@ -29,7 +30,7 @@ from kannanlab.conditions import (EXHAUSTIVE, ChenYeh, Fisher, IteratedKannan,
                                   KannanK, Khan, StrictKannan,
                                   evaluate_condition)
 from kannanlab.maps import FixedPointReached, orbit
-from kannanlab.spaces import FiniteSpace
+from kannanlab.spaces import FiniteSpace, stated_sample
 
 CATALOG = [
     StrictKannan(), Fisher(), Khan(),
@@ -97,21 +98,14 @@ def test_chunks_that_do_not_divide_the_maps_change_no_row_or_byte(size, mode, mo
     assert rows_and_documents() == whole
 
 
-def sampled_ids(total):
-    """The stated cross-check sample: every id below 2,000 maps, else
-    every (total // 1000)-th id, and the last, each once."""
-    step = max(1, total // 1000)
-    return [i for i in range(total) if i % step == 0 or i == total - 1]
-
-
-def test_pair_local_verdicts_run_at_most_once_per_pair_and_images(monkeypatch):
+def test_pair_local_verdicts_run_at_most_once_per_pair_and_images(monkeypatch, sample_rule):
     # the tables decide each (pair, Tx, Ty) once, and iterated_kannan(m),
     # m = 0 included, reads the strict table; the only other calls are
     # the plain evaluations of the sampled maps
     space = random_finite_space(5, seed=2, mode="line")
     n = space.size
     conditions = [*DEFAULT, *ITERATED]
-    sample = sampled_ids(n ** n)
+    sample = sample_rule(n ** n)
     assert len(sample) < n ** n  # a sparse sample: 1 map in 3, and the last
     plain = {id(c): sum(evaluate_condition(c, space, map_from_id(space, i)).pairs_checked
                         for i in sample)
@@ -185,7 +179,7 @@ def test_a_flipped_table_entry_is_caught_by_the_cross_check(monkeypatch):
 
 
 @pytest.mark.parametrize("size", [4, 5, 6])
-def test_cross_check_runs_on_the_stated_sample(size, monkeypatch):
+def test_cross_check_runs_on_the_stated_sample(size, monkeypatch, sample_rule):
     space = random_finite_space(size, seed=0, mode="line")
     seen = []
     plain = kannanlab.census.classify_map
@@ -197,7 +191,7 @@ def test_cross_check_runs_on_the_stated_sample(size, monkeypatch):
     monkeypatch.setattr(kannanlab.census, "classify_map", recorded)
     enumerate_census(space, [StrictKannan()])
     total = size ** size
-    assert seen == sampled_ids(total)
+    assert seen == stated_sample(total) == sample_rule(total)
     if total >= 2000:  # the last id is off the stride, sampled on its own
         assert (total - 1) % (total // 1000) != 0 and seen[-1] == total - 1
 
@@ -270,7 +264,7 @@ def reference_khan_crosscheck(space, boundary=F(1, 1 << 20)):
             tx, ty = tm.apply(x), tm.apply(y)
             lhs = space.dist(tx, ty)
             u = space.dist(x, tx) * space.dist(y, ty)
-            exact = kannanlab.census.lt_sqrt(lhs, u)  # a patch applies here too
+            exact = kannanlab.conditions.lt_sqrt(lhs, u)  # a patch applies here too
             lhs_f, root_f = longdouble(lhs), np.sqrt(longdouble(u))
             if abs(lhs_f - root_f) <= margin:
                 skipped += 1
@@ -294,8 +288,9 @@ def test_khan_crosscheck_counts_equal_the_per_map_loop(size, mode):
 
 
 def test_khan_crosscheck_lists_each_mismatched_key_once(monkeypatch):
-    exact = kannanlab.census.lt_sqrt
-    monkeypatch.setattr(kannanlab.census, "lt_sqrt", lambda a, u: not exact(a, u))
+    # the Khan table's verdicts come from conditions.lt_sqrt
+    exact = kannanlab.conditions.lt_sqrt
+    monkeypatch.setattr(kannanlab.conditions, "lt_sqrt", lambda a, u: not exact(a, u))
     space = random_finite_space(4, seed=1, mode="line")
     n = space.size
     compared, skipped, mismatches = khan_float_crosscheck(space)

@@ -27,7 +27,7 @@ from kannanlab.completeness import (_RECIPROCAL_SAFE_K, ConstructedMap,
                                     construct_counterexample_map,
                                     verify_counterexample)
 from kannanlab.conditions import StrictKannan, evaluate_condition, sample_pairs
-from kannanlab.spaces import HalfLineUsual, TheoremContradictionError
+from kannanlab.spaces import HalfLineUsual, TheoremContradictionError, stated_sample
 
 INT64_MAX = 2 ** 63 - 1
 
@@ -171,7 +171,7 @@ def test_sampled_cross_check_past_prefix_100():
 def test_cross_check_sample_order_and_size():
     assert _cross_check_sample(1) == []
     assert _cross_check_sample(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert len(_cross_check_sample(100)) == 4950
+    assert len(_cross_check_sample(100)) == 1239
     for prefix in (101, 600, 10_000):
         sample = _cross_check_sample(prefix)
         assert 1000 <= len(sample) <= 1012
@@ -181,6 +181,16 @@ def test_cross_check_sample_order_and_size():
     stopped = _cross_check_sample(600, stop=(3, 400))
     assert stopped[-1] == (3, 400)
     assert stopped[:-1] == [p for p in _cross_check_sample(600) if p < (3, 400)]
+
+
+def test_the_pair_sample_is_the_stated_sample_in_pair_order(sample_rule):
+    for prefix in [*range(1, 201), 10_000]:
+        sample = _cross_check_sample(prefix)
+        assert all(0 <= i < j < prefix for i, j in sample)
+        # the pair-order index of (i, j): the pairs of rows 0..i-1, then j's place in row i
+        flat = [i * (2 * prefix - i - 1) // 2 + j - i - 1 for i, j in sample]
+        total = prefix * (prefix - 1) // 2
+        assert flat == stated_sample(total) == sample_rule(total), prefix
 
 
 def test_routes_that_disagree_raise(monkeypatch):

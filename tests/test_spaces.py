@@ -8,7 +8,7 @@ import pytest
 from kannanlab.spaces import (FiniteSpace, GornickiNat, HalfLineUsual,
                               MembershipError, ReciprocalSet, SplitSet,
                               UnitIntervalRight, load_space, split_set_sample,
-                              verify_metric_axioms)
+                              stated_sample, verify_metric_axioms)
 
 
 def test_gornicki_distance_formula():
@@ -155,3 +155,13 @@ def test_split_set_sample_contents():
     space = SplitSet()
     for p in sample:
         assert space.contains(p)
+
+
+@pytest.mark.parametrize("total", [0, 1, 1_999, 2_000, 2_001, 46_656, 10 ** 7])
+def test_stated_sample_is_the_rule(total, sample_rule):
+    sample = stated_sample(total)
+    assert sample == sample_rule(total)
+    if total:
+        assert sample[0] == 0 and sample[-1] == total - 1
+    if total < 2_000:
+        assert sample == list(range(total))

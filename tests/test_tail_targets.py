@@ -23,7 +23,7 @@ from kannanlab.completeness import (MAX_SCAN, ConstructedMap, _least_index,
                                     build_reciprocal_witness,
                                     construct_counterexample_map,
                                     scan_fixed_point_free, spot_check_witness)
-from kannanlab.spaces import TheoremContradictionError
+from kannanlab.spaces import TheoremContradictionError, stated_sample
 
 STOCK = build_reciprocal_witness()
 
@@ -125,11 +125,11 @@ class LeastnessSpy(ConstructedMap):
 
 
 @pytest.mark.parametrize("count", [1, 100, 101, 999, 1000, 1999, 2000, 10 ** 4])
-def test_the_leastness_sample_and_its_last_n(count):
+def test_the_leastness_sample_and_its_last_n(count, sample_rule):
     spy = LeastnessSpy(STOCK)
     assert scan_fixed_point_free(spy, count)
-    step = max(1, count // 1000)
-    assert spy.checked == sorted(set(range(1, count + 1, step)) | {count})
+    # the sample indexes the terms from 0: index n - 1 is the term x_n
+    assert [n - 1 for n in spy.checked] == stated_sample(count) == sample_rule(count)
     assert spy.checked[-1] == count
     if count < 2000:
         assert spy.checked == list(range(1, count + 1))
