@@ -163,6 +163,20 @@ MUTANTS = [
     ("src/kannanlab/spaces.py",
      "    step = max(1, total // 1000)",
      "    step = max(1, total // 1000) + 1", None),
+    ("src/kannanlab/cli.py",
+     "    if not (isinstance(raw, list)\n"
+     "            and all(isinstance(pair, list) and len(pair) == 2 for pair in raw)):\n"
+     "        raise ValueError(\"--pairs must be a JSON list of [x, y] pairs\")\n",
+     "", None),
+    ("src/kannanlab/cli.py",
+     "    if isinstance(value, bool) or not isinstance(value, (str, int)):",
+     "    if isinstance(value, bool):", None),
+    ("src/kannanlab/completeness.py",
+     "        if n0 is None:",
+     "        if False:", None),
+    ("src/kannanlab/conditions.py",
+     "    every pair has zero total displacement.\n    \"\"\"\n    if space != m.space:",
+     "    every pair has zero total displacement.\n    \"\"\"\n    if False:", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

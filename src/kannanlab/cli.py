@@ -207,13 +207,20 @@ def cmd_gallery(args) -> tuple[int, Iterable[str]]:
 
 def _resolve_pairs_arg(space, pairs_arg):
     if pairs_arg is None or pairs_arg == "exhaustive":
-        if not isinstance(space, FiniteSpace):
-            raise ValueError("infinite catalog spaces need --pairs with an "
-                             "explicit sample (exhaustive scans are finite-only)")
         return EXHAUSTIVE
     raw = _load_json_arg(pairs_arg)
-    return tuple((_parse_point(space, str(x)), _parse_point(space, str(y)))
-                 for x, y in raw)
+    if not (isinstance(raw, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in raw)):
+        raise ValueError("--pairs must be a JSON list of [x, y] pairs")
+    return tuple((_pair_point(space, x), _pair_point(space, y)) for x, y in raw)
+
+
+def _pair_point(space, value):
+    """A --pairs point: a JSON string or integer, never a float or bool."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"--pairs points must be JSON strings or integers, "
+                         f"not {json.dumps(value)}")
+    return _parse_point(space, str(value))
 
 
 def cmd_check(args) -> tuple[int, Iterable[str]]:

@@ -8,8 +8,9 @@ distance back to their sources.  The existence of such a map is exactly
 why spaces on which every strict-Kannan map has a fixed point must be
 complete.
 
-This module makes that construction concrete and checkable.  A witness
-packages the sequence together with two *certified* bounds:
+This module builds that map on a space whose every point is a sequence
+term, the reciprocal set {1/n}; a point off the sequence is refused.  A
+witness packages the sequence together with two *certified* bounds:
 
 * ``gap_lower_bound(n)``  — a positive lower bound on inf of d(x_k, x_n)
   over k != n (positive because a non-convergent Cauchy sequence has no
@@ -63,12 +64,10 @@ class IncompleteWitness:
     """A non-convergent Cauchy sequence with certified distance bounds.
 
     ``term(n)`` is x_n for n >= 1, all terms distinct.  ``term_index``
-    inverts term on sequence members (None off the sequence).
-    ``target(n)`` is the closed form of the least n' > n with
-    tail_bound(n') < gap_lower_bound(n)/2, which the tail map sends x_n
-    to.  ``off_sequence_gap`` certifies a positive lower bound on the
-    distance from an off-sequence point to the whole sequence, when the
-    space has such points at all.
+    inverts term on sequence members (None off the sequence, a point the
+    tail map refuses).  ``target(n)`` is the closed form of the least
+    n' > n with tail_bound(n') < gap_lower_bound(n)/2, which the tail map
+    sends x_n to.
     """
 
     space: Space
@@ -77,17 +76,15 @@ class IncompleteWitness:
     tail_bound: Callable[[int], Fraction]
     term_index: Callable[[Fraction], Optional[int]]
     target: Callable[[int], int]
-    off_sequence_gap: Optional[Callable[[Fraction], Fraction]] = None
 
 
 def build_reciprocal_witness() -> IncompleteWitness:
     """The stock witness: x_n = 1/n in the space {1/n : n >= 1}.
 
-    Every point of the space is a sequence term, so the off-sequence
-    branch of the construction is never exercised here.  The certified
-    bounds are closed forms: the nearest neighbour of 1/n is 1/(n+1),
-    giving gap_lower_bound(n) = 1/(n(n+1)); and all points beyond index N
-    lie in (0, 1/N], giving tail_bound(N) = 1/N.  The least n' with
+    Every point of the space is a sequence term.  The certified bounds
+    are closed forms: the nearest neighbour of 1/n is 1/(n+1), giving
+    gap_lower_bound(n) = 1/(n(n+1)); and all points beyond index N lie
+    in (0, 1/N], giving tail_bound(N) = 1/N.  The least n' with
     1/n' < 1/(2n(n+1)) is then target(n) = 2n(n+1) + 1.
     """
     space = ReciprocalSet()
@@ -171,15 +168,14 @@ def _target_is_least(w: IncompleteWitness, n0: int, t: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class ConstructedMap(SelfMap):
-    """The two-branch tail map built from a witness.
+    """The tail map built from a witness whose points are all sequence terms.
 
     A sequence term x_{n0} goes to x_{n'} for the least n' > n0 with
     tail_bound(n') < gap_lower_bound(n0) / 2, read from the witness's
-    closed form ``target``; an off-sequence point x goes to x_{n_x} for
-    the least n_x with tail_bound(n_x) < off_sequence_gap(x) / 2.
-    Targets sit strictly deeper in the sequence than their sources by
-    construction, and ``target_index`` enforces it on every target it
-    serves; with distinct terms, the map has no fixed point.
+    closed form ``target``; a point off the sequence is refused with
+    ValueError.  Targets sit strictly deeper in the sequence than their
+    sources by construction, and ``target_index`` enforces it on every
+    target it serves; with distinct terms, the map has no fixed point.
     """
 
     kind = "constructed_counterexample"
@@ -214,23 +210,17 @@ class ConstructedMap(SelfMap):
 
     def _image(self, p):
         n0 = self.witness.term_index(p)
-        if n0 is not None:
-            return self.witness.term(self.target_index(n0))
-        if self.witness.off_sequence_gap is None:
-            raise ValueError(
-                f"witness certifies no off-sequence distance bound, needed for {p}")
-        half = self.witness.off_sequence_gap(p) / 2
-        if half <= 0:
-            raise ValueError(f"off-sequence gap bound is not positive at {p}")
-        idx = _least_index(lambda n: self.witness.tail_bound(n) < half, start=1)
-        return self.witness.term(idx)
+        if n0 is None:
+            raise ValueError(f"the tail map is defined on sequence terms only, "
+                             f"and {p} is not one")
+        return self.witness.term(self.target_index(n0))
 
 
 def _least_index(satisfied: Callable[[int], bool], start: int) -> int:
     """Least n >= start with satisfied(n), for upward-closed predicates.
 
-    tail_bound is nonincreasing, so the satisfied set is upward closed and
-    gallop-then-bisect finds the same index a linear scan would.
+    Gallop-then-bisect finds the index a linear scan would; it derives
+    the int64 bounds ``_RECIPROCAL_SAFE_K`` and ``_VECTOR_SAFE_N``.
     """
     if satisfied(start):
         return start
@@ -238,8 +228,7 @@ def _least_index(satisfied: Callable[[int], bool], start: int) -> int:
     while not satisfied(hi):
         lo, hi = hi, 2 * hi
         if hi > 1 << 62:
-            raise ValueError("no admissible target index below 2^62; "
-                             "the witness bounds look defective")
+            raise ValueError("no satisfying index below 2^62")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if satisfied(mid):

@@ -444,6 +444,8 @@ def kannan_ratio(space: Space, m: SelfMap,
     The smallest admissible Kannan constant on the checked pairs; None when
     every pair has zero total displacement.
     """
+    if space != m.space:
+        raise ValueError("condition check: space does not match the map's space")
     pair_list, _, exhausted = _resolve_pairs(space, pairs)
     member, image = _checked_once(space, m, space.labels if exhausted else ())
     d = space._dist

@@ -297,7 +297,10 @@ def load_map(obj: dict, space: Space) -> SelfMap:
     if kind == "table":
         if not isinstance(space, FiniteSpace):
             raise ValueError("table maps need a finite space")
-        return TableMap(space, obj.get("assign", {}))
+        assign = obj.get("assign", {})
+        if not isinstance(assign, dict):
+            raise ValueError(f"table map 'assign' must be an object, got {assign!r}")
+        return TableMap(space, assign)
     if kind == "scale":
         return Scale(space, json_scalar(obj["c"]))
     if kind == "stair_scale":

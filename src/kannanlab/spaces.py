@@ -58,22 +58,23 @@ class MetricAxiomReport:
     """Outcome of checking the metric axioms on an explicit matrix.
 
     ``first_violation`` carries (axiom name, witness labels) for the first
-    failing check in scan order; axiom failure is a report, not an error.
+    failing check in scan order, or None; axiom failure is a report, not
+    an error.
     """
 
-    passed: bool
-    symmetry_ok: bool
-    identity_ok: bool
-    positivity_ok: bool
-    triangle_ok: bool
     first_violation: Optional[tuple[str, tuple[str, ...]]] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.first_violation is None
 
 
 def verify_metric_axioms(labels: Sequence[str], matrix: Sequence[Sequence]) -> MetricAxiomReport:
     """Check symmetry, identity, positivity and the triangle inequality.
 
     Works on raw data so that broken matrices can be diagnosed before any
-    FiniteSpace exists.  All comparisons are exact.
+    FiniteSpace exists.  All comparisons are exact; the scan stops at the
+    first failing check.
     """
     labels = tuple(labels)
     n = len(labels)
@@ -81,22 +82,19 @@ def verify_metric_axioms(labels: Sequence[str], matrix: Sequence[Sequence]) -> M
     if len(d) != n or any(len(row) != n for row in d):
         raise ValueError(f"distance matrix must be {n}x{n}")
 
-    # every failing check, in scan order
-    failures = [("identity", (labels[i],)) for i in range(n) if d[i][i] != 0]
+    for i in range(n):
+        if d[i][i] != 0:
+            return MetricAxiomReport(("identity", (labels[i],)))
     for i, j in permutations(range(n), 2):
         if d[i][j] != d[j][i]:
-            failures.append(("symmetry", (labels[i], labels[j])))
+            return MetricAxiomReport(("symmetry", (labels[i], labels[j])))
         if d[i][j] <= 0:
-            failures.append(("positivity", (labels[i], labels[j])))
+            return MetricAxiomReport(("positivity", (labels[i], labels[j])))
     # Distinct ordered triples suffice: repeats reduce to the axioms above.
-    failures += [("triangle", (labels[i], labels[j], labels[k]))
-                 for i, j, k in permutations(range(n), 3)
-                 if d[i][k] > d[i][j] + d[j][k]]
-    failed = {axiom for axiom, _ in failures}
-    return MetricAxiomReport(not failures, "symmetry" not in failed,
-                             "identity" not in failed, "positivity" not in failed,
-                             "triangle" not in failed,
-                             failures[0] if failures else None)
+    for i, j, k in permutations(range(n), 3):
+        if d[i][k] > d[i][j] + d[j][k]:
+            return MetricAxiomReport(("triangle", (labels[i], labels[j], labels[k])))
+    return MetricAxiomReport()
 
 
 # ---------------------------------------------------------------------------

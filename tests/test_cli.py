@@ -201,6 +201,8 @@ STRICT = '{"kind": "strict_kannan"}'
     (*HALF_LINE, "--map", '{"kind": "scale", "c": 0.5}', "--condition", STRICT),
     ("--space", '{"kind": "finite", "labels": ["a", "b"], "d": [[0, 1.5], [1.5, 0]]}',
      "--map", '{"kind": "table", "assign": {"a": "a", "b": "a"}}', "--condition", STRICT),
+    ("--space", '{"kind": "half_line"}', "--pairs", '[[1.00000000000000001, 2]]',
+     "--map", HALVING, "--condition", STRICT),
 ])
 def test_json_float_or_bool_in_a_scalar_field_is_config_error(args):
     proc = run_cli("check", *args)
@@ -226,6 +228,38 @@ def test_finite_space_field_that_is_not_a_list_is_config_error(fields):
     assert proc.stdout == ""
     assert proc.stderr.startswith("config error: finite space ")
     assert "Traceback" not in proc.stderr
+
+
+TWO_POINT_SPACE = ("--space", '{"kind": "finite", "labels": ["a", "b"], '
+                               '"d": [[0, 1], [1, 0]]}')
+
+
+@pytest.mark.parametrize("assign", ["5", '["a", "b"]'])
+def test_table_assign_that_is_not_an_object_is_config_error(assign):
+    proc = run_cli("check", *TWO_POINT_SPACE,
+                   "--map", '{"kind": "table", "assign": ' + assign + "}",
+                   "--condition", STRICT)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: table map 'assign' must be an object")
+    assert "Traceback" not in proc.stderr
+
+
+HALF_LINE_HALVING = ("--space", '{"kind": "half_line"}', "--map", HALVING,
+                     "--condition", STRICT)
+
+
+@pytest.mark.parametrize("config, pairs", [
+    (HALF_LINE_HALVING, '["12"]'),
+    (HALF_LINE_HALVING, "[1]"),
+    ((*TWO_POINT_SPACE, *TWO_POINT_TABLE), '["ab"]'),
+    ((*TWO_POINT_SPACE, *TWO_POINT_TABLE), '{"ab": 0}'),
+])
+def test_pairs_that_are_not_a_list_of_point_pairs_are_config_error(config, pairs):
+    proc = run_cli("check", *config, "--pairs", pairs)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "config error: --pairs must be a JSON list of [x, y] pairs\n"
 
 
 @pytest.mark.parametrize("value", ['"false"', "0", "null"])

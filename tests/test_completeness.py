@@ -94,35 +94,21 @@ def test_counterexample_report_json_carries_construction():
     assert js["construction"][0] == {"source_index": 1, "target_index": 5}
 
 
-def test_off_sequence_branch_requires_certified_bound():
+def test_a_point_off_the_sequence_is_refused_by_name():
     from kannanlab.completeness import ConstructedMap
 
     w = build_reciprocal_witness()
-    # every point of this space is a sequence term; rig the inverse to
-    # exercise the off-sequence branch, which must fail without a
-    # certified distance-to-sequence bound
-    blind = type(w)(space=w.space, term=w.term,
-                    gap_lower_bound=w.gap_lower_bound,
-                    tail_bound=w.tail_bound,
-                    term_index=lambda p: None, target=w.target)
-    with pytest.raises(ValueError, match="off-sequence"):
-        ConstructedMap(blind).apply(F(1, 3))
-
-
-def test_off_sequence_branch_with_certified_bound():
-    from kannanlab.completeness import ConstructedMap
-
-    w = build_reciprocal_witness()
-    # treat 1/3 as if it were off the sequence, certifying (truthfully)
-    # that it sits at least 1/12 away from every term with index != 3
-    shifted = type(w)(space=w.space, term=w.term,
-                      gap_lower_bound=w.gap_lower_bound,
-                      tail_bound=w.tail_bound,
-                      term_index=lambda p: None if p == F(1, 3) else p.denominator,
-                      target=w.target, off_sequence_gap=lambda p: F(1, 12))
-    image = ConstructedMap(shifted).apply(F(1, 3))
-    # least n with 1/n < 1/24 is 25
-    assert image == F(1, 25)
+    # every point of this space is a sequence term; rig the inverse so
+    # that 1/3 reads as a point off the sequence
+    rigged = type(w)(space=w.space, term=w.term,
+                     gap_lower_bound=w.gap_lower_bound,
+                     tail_bound=w.tail_bound,
+                     term_index=lambda p: None if p == F(1, 3) else p.denominator,
+                     target=w.target)
+    cm = ConstructedMap(rigged)
+    assert cm.apply(F(1, 2)) == F(1, 13)
+    with pytest.raises(ValueError, match=r"sequence terms only, and 1/3 is not one"):
+        cm.apply(F(1, 3))
 
 
 def test_gornicki_answer_single_pair():

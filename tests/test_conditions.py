@@ -254,6 +254,21 @@ def test_kannan_ratio_rejects_equal_pair_like_evaluate():
         assert str(ratio.value) == str(evaluated.value)
 
 
+def test_kannan_ratio_refuses_a_map_on_another_space_like_evaluate():
+    labels = ("a", "b", "c")
+    a_space = FiniteSpace(labels=labels, matrix=((0, 1, 2), (1, 0, 2), (2, 2, 0)))
+    b_space = FiniteSpace(labels=labels, matrix=((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+    t = TableMap(b_space, {"a": "a", "b": "a", "c": "b"})
+    # on its own space the pair (a, c) gives d(a, b) / (0 + d(c, b)) = 1;
+    # read on a_space's distances it would give 1/2
+    assert kannan_ratio(b_space, t) == 1
+    with pytest.raises(ValueError, match="space does not match") as ratio:
+        kannan_ratio(a_space, t)
+    with pytest.raises(ValueError) as evaluated:
+        evaluate_condition(StrictKannan(), a_space, t)
+    assert str(ratio.value) == str(evaluated.value)
+
+
 def test_load_condition_round_trip():
     for spec in ({"kind": "strict_kannan"}, {"kind": "fisher"},
                  {"kind": "khan"}, {"kind": "kannan_k", "k": "1/3"},
