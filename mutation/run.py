@@ -69,8 +69,8 @@ MUTANTS = [
      "    fixed = sum(1 for l in space.labels if tm.assign[l] == l)",
      "    fixed = sum(1 for l in space.labels[1:] if tm.assign[l] == l)", None),
     ("src/kannanlab/conditions.py",
-     "    checked = 0\n    for x, y in pair_list:",
-     "    checked = 0\n    for x, y in pair_list[:-1]:", None),
+     "        for x, y in pair_list:",
+     "        for x, y in pair_list[:-1]:", None),
     ("src/kannanlab/census.py",
      "        if holds and cond.picard_converges and not attracts:",
      "        if holds and False and not attracts:", None),
@@ -174,9 +174,21 @@ MUTANTS = [
     ("src/kannanlab/completeness.py",
      "        if n0 is None:",
      "        if False:", None),
+    ("src/kannanlab/maps.py",
+     "    if space != m.space:",
+     "    if False:", None),
+    ("src/kannanlab/maps.py",
+     "    if horizon > MAX_HORIZON:",
+     "    if horizon >= MAX_HORIZON:", None),
     ("src/kannanlab/conditions.py",
-     "    every pair has zero total displacement.\n    \"\"\"\n    if space != m.space:",
-     "    every pair has zero total displacement.\n    \"\"\"\n    if False:", None),
+     "    if horizon > MAX_HORIZON:",
+     "    if horizon >= MAX_HORIZON:", None),
+    ("src/kannanlab/conditions.py",
+     "    if horizon > MAX_HORIZON:",
+     "    if horizon > MAX_HORIZON + 1:", None),
+    ("src/kannanlab/picard.py",
+     "    found = list(dict.fromkeys(fixed))",
+     "    found = list(fixed)", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

@@ -61,6 +61,13 @@ def _human_lines(obj, indent=0) -> list[str]:
     return lines
 
 
+def _render(result: dict, fmt: str) -> str:
+    """The result as a JSON document, or as indented human-readable lines."""
+    if fmt == "json":
+        return render_json(result)
+    return "\n".join(_human_lines(result)) + "\n"
+
+
 def _load_json_arg(text: str):
     """Inline JSON if it looks like JSON, otherwise a file path."""
     stripped = text.strip()
@@ -236,10 +243,7 @@ def cmd_check(args) -> tuple[int, Iterable[str]]:
                    "expect": args.expect},
         "report": report.to_json(),
     }
-    if args.format == "json":
-        text = render_json(result)
-    else:
-        text = "\n".join(_human_lines(result)) + "\n"
+    text = _render(result, args.format)
     if args.expect is not None:
         got = "holds" if report.holds else "violated"
         if got != args.expect:
@@ -261,10 +265,7 @@ def cmd_iterate(args) -> tuple[int, Iterable[str]]:
               "map": mapping.to_json(), "x0": args.x0, "horizon": args.horizon}
     if args.format == "csv":
         return 0, ["# " + json.dumps(config, sort_keys=True) + "\n", orbit_trace_csv(run.orbit)]
-    result = {"config": config, "run": run.to_json()}
-    if args.format == "json":
-        return 0, [render_json(result)]
-    return 0, ["\n".join(_human_lines(result)) + "\n"]
+    return 0, [_render({"config": config, "run": run.to_json()}, args.format)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +307,7 @@ def cmd_counterexample(args) -> tuple[int, Iterable[str]]:
     report = verification.to_json()
     report["fixed_point_free_scanned"] = args.scan
     report["fixed_point_free_scan_ok"] = fixed_free
-    result = {"config": config, "report": report}
-    if args.format == "json":
-        text = render_json(result)
-    else:
-        text = "\n".join(_human_lines(result)) + "\n"
+    text = _render({"config": config, "report": report}, args.format)
     if not (verification.ok and fixed_free):
         print("counterexample: verification failed", file=sys.stderr)
         return 1, [text]

@@ -20,8 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .rationals import HALF, as_scalar, json_scalar, lt_sqrt, scalar_text
-from .maps import SelfMap
-from .picard import MAX_HORIZON
+from .maps import MAX_HORIZON, SelfMap, check_same_space
 from .spaces import FiniteSpace, Space, point_text
 
 
@@ -220,7 +219,7 @@ class IteratedKannan(Condition):
 
     m = 0 coincides with the plain strict condition (T^0 = identity).
     Every pair walks m steps from each point, so m is capped at
-    ``picard.MAX_HORIZON``, the cap on an orbit's length.
+    ``maps.MAX_HORIZON``, the cap on an orbit's length.
     """
 
     m: int
@@ -302,17 +301,6 @@ def sample_pairs(points: Sequence) -> tuple:
 PairSource = Union[Exhaustive, Iterable]
 
 
-def _resolve_pairs(space: Space, pairs: PairSource):
-    if isinstance(pairs, Exhaustive):
-        if not isinstance(space, FiniteSpace):
-            raise ValueError("exhaustive pair scans need a finite space; "
-                             "supply an explicit sample for catalog spaces")
-        return space.distinct_pairs(), {"kind": "exhaustive",
-                                        "space_size": space.size}, True
-    pair_list = [tuple(p) for p in pairs]
-    return pair_list, {"kind": "sample", "pairs": len(pair_list), "seed": None}, False
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -367,16 +355,28 @@ class ConditionReport:
 _CANONICAL = (Fraction, str)
 
 
-def _checked_once(space: Space, m: SelfMap, known: Sequence = ()):
-    """(member, image) for one scan: each distinct point checked once.
+def _checked_pairs(space: Space, m: SelfMap, pairs: PairSource):
+    """(pair_source, exhausted, image, pairs) for one scan of m on space.
 
-    ``member`` membership-checks a caller's point unless it is a canonical
-    point already checked or ``known`` (the space's own labels, on an
-    exhaustive scan); ``image`` computes and closure-checks each distinct
-    image once.  Both run lazily, in the order the scan asks, so the first
-    error a caller sees is the one checking every use would raise.
+    Refused at once: a map bound to another space, and an exhaustive scan
+    of a space that is not finite.  ``pairs`` yields each pair as two
+    distinct canonical members, checking each distinct point once (the
+    space's own labels need no check on an exhaustive scan); ``image``
+    computes and closure-checks each distinct image once.  Both run
+    lazily, in the order the scan asks, so the first error a caller sees
+    is the one checking every use would raise.
     """
-    members = set(known)
+    check_same_space(space, m)
+    exhausted = isinstance(pairs, Exhaustive)
+    if exhausted:
+        if not isinstance(space, FiniteSpace):
+            raise ValueError("exhaustive pair scans need a finite space; "
+                             "supply an explicit sample for catalog spaces")
+        pair_list, members = space.distinct_pairs(), set(space.labels)
+        pair_source = {"kind": "exhaustive", "space_size": space.size}
+    else:
+        pair_list, members = [tuple(p) for p in pairs], set()
+        pair_source = {"kind": "sample", "pairs": len(pair_list), "seed": None}
     images = {}
 
     def member(p):
@@ -391,7 +391,15 @@ def _checked_once(space: Space, m: SelfMap, known: Sequence = ()):
             img = images[p] = m._apply(p)
         return img
 
-    return member, image
+    def checked():
+        for x, y in pair_list:
+            x, y = member(x), member(y)
+            if x == y:
+                raise ValueError(f"pair points must be distinct, got "
+                                 f"({point_text(x)}, {point_text(y)})")
+            yield x, y
+
+    return pair_source, exhausted, image, checked()
 
 
 def _violated(x, y, lhs, rhs) -> Violated:
@@ -407,23 +415,16 @@ def evaluate_condition(cond: Condition, space: Space, m: SelfMap,
     Stops at the first violation (pair-set order) and reports it with
     exact values.  Pairs must consist of distinct member points.
     """
-    if space != m.space:
-        raise ValueError("condition check: space does not match the map's space")
-    pair_list, source_desc, exhausted = _resolve_pairs(space, pairs)
-    member, image = _checked_once(space, m, space.labels if exhausted else ())
+    pair_source, exhausted, image, pairs = _checked_pairs(space, m, pairs)
     d = space._dist
     checked = 0
-    for x, y in pair_list:
-        x, y = member(x), member(y)
-        if x == y:
-            raise ValueError(f"pair points must be distinct, got "
-                             f"({point_text(x)}, {point_text(y)})")
+    for x, y in pairs:
         checked += 1
         holds, lhs, rhs = cond.verdict(d, image, x, y)
         if not holds:
-            return ConditionReport(cond, source_desc, checked,
+            return ConditionReport(cond, pair_source, checked,
                                    _violated(x, y, lhs, rhs), exhausted)
-    return ConditionReport(cond, source_desc, checked, None, exhausted)
+    return ConditionReport(cond, pair_source, checked, None, exhausted)
 
 
 def replay_violation(report: ConditionReport, space: Space, m: SelfMap) -> bool:
@@ -431,9 +432,9 @@ def replay_violation(report: ConditionReport, space: Space, m: SelfMap) -> bool:
     if report.violation is None:
         raise ValueError("report has no violation to replay")
     v = report.violation
-    member, image = _checked_once(space, m)
-    holds, lhs, _ = report.condition.verdict(space._dist, image,
-                                             member(v.x), member(v.y))
+    _, _, image, pairs = _checked_pairs(space, m, [(v.x, v.y)])
+    [(x, y)] = pairs
+    holds, lhs, _ = report.condition.verdict(space._dist, image, x, y)
     return (not holds) and lhs == v.lhs
 
 
@@ -444,25 +445,10 @@ def kannan_ratio(space: Space, m: SelfMap,
     The smallest admissible Kannan constant on the checked pairs; None when
     every pair has zero total displacement.
     """
-    if space != m.space:
-        raise ValueError("condition check: space does not match the map's space")
-    pair_list, _, exhausted = _resolve_pairs(space, pairs)
-    member, image = _checked_once(space, m, space.labels if exhausted else ())
+    _, _, image, pairs = _checked_pairs(space, m, pairs)
     d = space._dist
-    best: Optional[Fraction] = None
-    for x, y in pair_list:
-        x, y = member(x), member(y)
-        if x == y:
-            raise ValueError(f"pair points must be distinct, got "
-                             f"({point_text(x)}, {point_text(y)})")
-        tx, ty = image(x), image(y)
-        s = d(x, tx) + d(y, ty)
-        if s == 0:
-            continue
-        ratio = d(tx, ty) / s
-        if best is None or ratio > best:
-            best = ratio
-    return best
+    return max((d(image(x), image(y)) / s for x, y in pairs
+                if (s := d(x, image(x)) + d(y, image(y)))), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +479,7 @@ class EpsDeltaReport:
     passing_delta: Optional[Fraction]
     cells: tuple[EpsDeltaCell, ...]
     horizon: int
-    finite_horizon_evidence: bool = True
+    evidence_only: bool = True
 
 
 def check_epsdelta_orbit(space: Space, m: SelfMap, x0,
@@ -506,12 +492,14 @@ def check_epsdelta_orbit(space: Space, m: SelfMap, x0,
 
     For each eps the candidates are tried in order and the first delta
     whose implication holds non-vacuously is reported.  Evidence only: a
-    finite prefix can neither prove the property nor its negation.
+    finite prefix can neither prove the property nor its negation.  The
+    horizon runs from 2 to ``MAX_HORIZON``.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    if space != m.space:
-        raise ValueError("eps-delta check: space does not match the map's space")
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon capped at {MAX_HORIZON}")
+    check_same_space(space, m)
     eps_grid = [as_scalar(e) for e in eps_grid]
     delta_candidates = [as_scalar(dd) for dd in delta_candidates]
     if any(e <= 0 for e in eps_grid) or any(dd <= 0 for dd in delta_candidates):

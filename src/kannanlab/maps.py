@@ -7,7 +7,9 @@ closure-checks the image: an image escaping the space raises
 Custom rule), never a rounding artifact, because all arithmetic is exact.
 A :class:`TableMap` proves its closure at construction, so its
 ``_apply`` is a plain lookup.  Scans call ``_apply`` once per distinct
-point they have checked.
+point they have checked.  Every scan of a map on a space calls
+:func:`check_same_space` first: the space's ``_dist`` trusts the images
+``_apply`` returns only when the map is bound to that space.
 
 Orbits terminate on an exact fixed point (consecutive gap exactly 0), an
 exact recurrence (cycle), or the horizon.  There is deliberately no
@@ -25,6 +27,9 @@ from typing import Callable, Mapping, Optional
 from .rationals import as_scalar, json_scalar
 from .spaces import (ClosureError, FiniteSpace, GornickiNat, MembershipError,
                      Space, SplitSet, point_text)
+
+
+MAX_HORIZON = 512  # pairwise orbit scans are O(horizon^2); desk scale only
 
 
 class SelfMap:
@@ -52,6 +57,12 @@ class SelfMap:
 
     def to_json(self) -> dict:
         return {"kind": self.kind}
+
+
+def check_same_space(space: Space, m: SelfMap) -> None:
+    """Refuse to scan m on any space but the one it is bound to."""
+    if space != m.space:
+        raise ValueError("space does not match the map's space")
 
 
 @dataclass(frozen=True)
@@ -199,6 +210,8 @@ class Orbit:
 def orbit(m: SelfMap, x0, horizon: int) -> Orbit:
     """Generate the orbit of x0 under m, up to horizon applications.
 
+    A horizon above ``MAX_HORIZON`` is refused before the first application.
+
     Stops early on an exact fixed point (the repeated point is kept, so
     the gap list ends in an exact 0) or on an exact recurrence of an
     earlier point (cycle).  Exact-equality hashing of rational points
@@ -206,6 +219,8 @@ def orbit(m: SelfMap, x0, horizon: int) -> Orbit:
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon capped at {MAX_HORIZON}")
     x0 = m.space.check_member(x0)
     points = [x0]
     gaps: list[Fraction] = []
@@ -255,8 +270,8 @@ def orbit_cluster_probe(o: Orbit, radius) -> OrbitClusterReport:
     n = len(pts)
     if n < 2:
         raise ValueError("probe needs an orbit with at least 2 points")
-    space = o.space
-    d = [[space.dist(pts[i], pts[j]) if i < j else None
+    space = o.space  # orbit points are members already: no re-check
+    d = [[space._dist(pts[i], pts[j]) if i < j else None
           for j in range(n)] for i in range(n)]
 
     def dat(i, j):

@@ -22,10 +22,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .rationals import scalar_text
-from .maps import FixedPointReached, Orbit, SelfMap, Truncated, orbit
+from .maps import (FixedPointReached, Orbit, SelfMap, Truncated, check_same_space,
+                   orbit)
+from .conditions import StrictKannan, evaluate_condition, sample_pairs
 from .spaces import Space, TheoremContradictionError, point_text
-
-MAX_HORIZON = 512  # pairwise bound check is O(horizon^2); desk scale only
 
 
 def _status_json(status) -> dict:
@@ -64,10 +64,7 @@ class PicardRun:
 
 def run_picard(space: Space, m: SelfMap, x0, horizon: int = 64) -> PicardRun:
     """Iterate m from x0 and measure the convergence-argument invariants."""
-    if space != m.space:
-        raise ValueError("picard run: space does not match the map's space")
-    if horizon > MAX_HORIZON:
-        raise ValueError(f"horizon capped at {MAX_HORIZON}")
+    check_same_space(space, m)
     o = orbit(m, x0, horizon)
     gaps = o.gaps
     pts = o.points
@@ -118,13 +115,14 @@ class FixedPointCheck:
 
 def verify_fixed_point(space: Space, m: SelfMap, z) -> FixedPointCheck:
     """Exact residual d(z, Tz) and the exact-zero verdict."""
+    check_same_space(space, m)
     z = space.check_member(z)
     residual = space._dist(z, m._apply(z))
     return FixedPointCheck(is_fixed=residual == 0, residual=residual)
 
 
 def uniqueness_probe(space: Space, m: SelfMap, candidates: Sequence) -> list:
-    """All candidates that are exact fixed points of m.
+    """The distinct exact fixed points of m among the candidates, in order.
 
     Two distinct fixed points z, z* make the strict Kannan inequality
     impossible on that pair (left side d(z,z*) > 0 against a zero bound),
@@ -132,10 +130,10 @@ def uniqueness_probe(space: Space, m: SelfMap, candidates: Sequence) -> list:
     list has length <= 1; the checker itself confirms this, and a strict
     verdict on two fixed points raises :class:`TheoremContradictionError`.
     """
-    from .conditions import StrictKannan, evaluate_condition, sample_pairs
-
-    found = [z for z in (space.check_member(c) for c in candidates)
-             if space._dist(z, m._apply(z)) == 0]
+    check_same_space(space, m)
+    fixed = (z for z in (space.check_member(c) for c in candidates)
+             if space._dist(z, m._apply(z)) == 0)
+    found = list(dict.fromkeys(fixed))
     if len(found) >= 2 and evaluate_condition(StrictKannan(), space, m,
                                               sample_pairs(found)).holds:
         raise TheoremContradictionError(

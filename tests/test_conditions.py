@@ -10,8 +10,9 @@ from kannanlab.conditions import (EXHAUSTIVE, ChenYeh, Fisher, IteratedKannan,
                                   check_epsdelta_orbit, evaluate_condition,
                                   kannan_ratio, load_condition,
                                   replay_violation, sample_pairs)
-from kannanlab.maps import Custom, PiecewiseDrop, Scale, TableMap, TripleNat
-from kannanlab.picard import MAX_HORIZON
+from kannanlab.maps import (MAX_HORIZON, Custom, PiecewiseDrop, Scale, TableMap,
+                            TripleNat)
+from kannanlab.picard import run_picard, uniqueness_probe, verify_fixed_point
 from kannanlab.spaces import (ClosureError, FiniteSpace, GornickiNat,
                               HalfLineUsual, MembershipError, SplitSet,
                               split_set_sample)
@@ -194,13 +195,11 @@ def test_iterated_kannan_shift_one_exact_values():
         IteratedKannan(MAX_HORIZON + 1)
 
 
-def test_evaluate_rejects_equal_pair_and_wrong_space():
+def test_evaluate_rejects_an_equal_pair():
     space = SplitSet()
     drop = PiecewiseDrop(space)
     with pytest.raises(ValueError, match="distinct"):
         evaluate_condition(StrictKannan(), space, drop, [(F(2), F(2))])
-    with pytest.raises(ValueError, match="space"):
-        evaluate_condition(StrictKannan(), HalfLineUsual(), drop, [(F(1), F(2))])
 
 
 def test_exhaustive_needs_finite_space():
@@ -254,21 +253,6 @@ def test_kannan_ratio_rejects_equal_pair_like_evaluate():
         assert str(ratio.value) == str(evaluated.value)
 
 
-def test_kannan_ratio_refuses_a_map_on_another_space_like_evaluate():
-    labels = ("a", "b", "c")
-    a_space = FiniteSpace(labels=labels, matrix=((0, 1, 2), (1, 0, 2), (2, 2, 0)))
-    b_space = FiniteSpace(labels=labels, matrix=((0, 1, 1), (1, 0, 1), (1, 1, 0)))
-    t = TableMap(b_space, {"a": "a", "b": "a", "c": "b"})
-    # on its own space the pair (a, c) gives d(a, b) / (0 + d(c, b)) = 1;
-    # read on a_space's distances it would give 1/2
-    assert kannan_ratio(b_space, t) == 1
-    with pytest.raises(ValueError, match="space does not match") as ratio:
-        kannan_ratio(a_space, t)
-    with pytest.raises(ValueError) as evaluated:
-        evaluate_condition(StrictKannan(), a_space, t)
-    assert str(ratio.value) == str(evaluated.value)
-
-
 def test_load_condition_round_trip():
     for spec in ({"kind": "strict_kannan"}, {"kind": "fisher"},
                  {"kind": "khan"}, {"kind": "kannan_k", "k": "1/3"},
@@ -294,6 +278,7 @@ def test_epsdelta_halving_orbit_passes_with_delta_eq_eps():
     assert report.passing_delta == F(1, 4)
     assert report.cells[0].status == "holds"
     assert report.cells[0].exercised > 0
+    assert report.evidence_only
 
 
 def test_epsdelta_doubling_orbit_has_no_usable_delta():
@@ -341,9 +326,62 @@ def test_epsdelta_validates_inputs():
                              horizon=4)
 
 
+def test_epsdelta_horizon_cap_at_both_edges():
+    fs = two_point_space()
+    const = TableMap(fs, {"a": "a", "b": "a"})
+    [report] = check_epsdelta_orbit(fs, const, "b", [F(1, 7)], [F(1, 9)],
+                                    horizon=MAX_HORIZON)
+    assert report.horizon == MAX_HORIZON and report.passing_delta == F(1, 9)
+    applied = []
+    space = HalfLineUsual()
+    spy = Custom(space, lambda v: applied.append(v) or v, kind="spy")
+    with pytest.raises(ValueError, match="horizon capped at 512"):
+        check_epsdelta_orbit(space, spy, F(1), [F(1)], [F(1)],
+                             horizon=MAX_HORIZON + 1)
+    assert applied == []
+
+
 # ---------------------------------------------------------------------------
 # the trust boundary: each point checked once, errors in pair order
 # ---------------------------------------------------------------------------
+
+# Space A: d(a,b) = 1, d(a,c) = d(b,c) = 2; space B: all distances 1.  The
+# map is bound to B, so every scan of it on A is refused with one
+# ValueError rather than read with A's distances.
+LABELS = ("a", "b", "c")
+A_SPACE = FiniteSpace(labels=LABELS, matrix=((0, 1, 2), (1, 0, 2), (2, 2, 0)))
+B_SPACE = FiniteSpace(labels=LABELS, matrix=((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+T_ON_B = TableMap(B_SPACE, {"a": "a", "b": "c", "c": "c"})
+
+
+def kannan_third_on_b():
+    # violated at (a, b): d(Ta, Tb) = d(a, c) = 1 > (0 + d(b, c)) / 3
+    return evaluate_condition(KannanK(F(1, 3)), B_SPACE, T_ON_B)
+
+
+# entry point -> (run it on a space, its result on the map's own space B)
+SCANS = {
+    "evaluate_condition": (
+        lambda s: evaluate_condition(KannanK(F(1, 3)), s, T_ON_B).holds, False),
+    "kannan_ratio": (lambda s: kannan_ratio(s, T_ON_B), 1),
+    "replay_violation": (
+        lambda s: replay_violation(kannan_third_on_b(), s, T_ON_B), True),
+    "run_picard": (lambda s: run_picard(s, T_ON_B, "b").fixed_point, "c"),
+    "check_epsdelta_orbit": (
+        lambda s: check_epsdelta_orbit(s, T_ON_B, "b", [F(1)], [F(1)],
+                                       horizon=2)[0].passing_delta, 1),
+    "verify_fixed_point": (lambda s: verify_fixed_point(s, T_ON_B, "b").residual, 1),
+    "uniqueness_probe": (lambda s: uniqueness_probe(s, T_ON_B, LABELS), ["a", "c"]),
+}
+
+
+@pytest.mark.parametrize("entry", list(SCANS))
+def test_every_scan_refuses_a_map_on_another_space(entry):
+    scan, on_own_space = SCANS[entry]
+    assert scan(B_SPACE) == on_own_space
+    with pytest.raises(ValueError, match=r"^space does not match the map's space$"):
+        scan(A_SPACE)
+
 
 def identity_escaping_at_five():
     # identity on the half line (violates every strict condition at any

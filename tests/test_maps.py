@@ -5,10 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from kannanlab.maps import (Custom, CycleDetected, FixedPointReached,
-                            PiecewiseDrop, Scale, StairScale, TableMap,
-                            TripleNat, Truncated, load_map, orbit,
-                            orbit_cluster_probe)
+from kannanlab.maps import (MAX_HORIZON, Custom, CycleDetected,
+                            FixedPointReached, PiecewiseDrop, Scale,
+                            StairScale, TableMap, TripleNat, Truncated,
+                            load_map, orbit, orbit_cluster_probe)
 from kannanlab.spaces import (ClosureError, FiniteSpace, GornickiNat,
                               HalfLineUsual, MembershipError, SplitSet,
                               UnitIntervalRight)
@@ -114,6 +114,15 @@ def test_cluster_probe_stair_scale_accumulates_near_zero():
     assert probe.max_pairwise < F(3, 2)
 
 
+def test_cluster_probe_reads_distances_without_rechecking_orbit_points(monkeypatch):
+    o = orbit(StairScale(HalfLineUsual()), F(3, 2), horizon=64)
+    checked = []
+    monkeypatch.setattr(HalfLineUsual, "check_member",
+                        lambda self, p: checked.append(p))
+    assert orbit_cluster_probe(o, F(1, 10)).clustered
+    assert checked == []
+
+
 def test_cluster_probe_doubling_is_unbounded_and_unclustered():
     o = orbit(Scale(HalfLineUsual(), 2), F(1), horizon=10)
     probe = orbit_cluster_probe(o, F(1, 2))
@@ -150,3 +159,13 @@ def test_load_map_json():
 def test_orbit_rejects_bad_horizon():
     with pytest.raises(ValueError):
         orbit(StairScale(HalfLineUsual()), F(1), horizon=0)
+
+
+def test_orbit_horizon_cap_at_both_edges():
+    o = orbit(Scale(HalfLineUsual(), 2), F(1), horizon=MAX_HORIZON)
+    assert o.status == Truncated(horizon=MAX_HORIZON)
+    applied = []
+    spy = Custom(HalfLineUsual(), lambda v: applied.append(v) or v, kind="spy")
+    with pytest.raises(ValueError, match="horizon capped at 512"):
+        orbit(spy, F(1), horizon=MAX_HORIZON + 1)
+    assert applied == []

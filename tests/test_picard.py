@@ -9,7 +9,8 @@ from kannanlab.maps import (Custom, CycleDetected, FixedPointReached, Scale,
                             TableMap, TripleNat, PiecewiseDrop, Truncated, orbit)
 from kannanlab.picard import (orbit_trace_csv, run_picard, uniqueness_probe,
                               verify_fixed_point)
-from kannanlab.spaces import (FiniteSpace, GornickiNat, SplitSet,
+from kannanlab.spaces import (FiniteSpace, GornickiNat, HalfLineUsual,
+                              MembershipError, SplitSet,
                               TheoremContradictionError, UnitIntervalRight,
                               split_set_sample)
 
@@ -91,6 +92,23 @@ def test_uniqueness_probe_split_sample_finds_only_zero():
     drop = PiecewiseDrop(space)
     found = uniqueness_probe(space, drop, split_set_sample(50))
     assert found == [F(0)]
+
+
+def test_uniqueness_probe_lists_a_repeated_fixed_point_once():
+    space = SplitSet()
+    drop = PiecewiseDrop(space)
+    # 0 and F(0) are the same point of the split set
+    for candidates in ([F(0), F(0)], [F(0), 0], [F(0), F(2), 0]):
+        assert uniqueness_probe(space, drop, candidates) == [F(0)]
+
+
+def test_uniqueness_probe_refuses_a_point_outside_the_maps_space():
+    drop = PiecewiseDrop(SplitSet())
+    with pytest.raises(MembershipError):
+        drop.apply(F(1, 2))
+    # 1/2 lies on the half line but not on the split set the map is bound to
+    with pytest.raises(ValueError, match="space does not match"):
+        uniqueness_probe(HalfLineUsual(), drop, [0, F(1, 2)])
 
 
 def test_uniqueness_probe_tripling_finds_nothing():
