@@ -9,7 +9,6 @@ from fractions import Fraction as F
 
 from kannanlab import (HalfLineUsual, Scale, StairScale, orbit,
                        orbit_cluster_probe)
-from kannanlab.rationals import approx_text
 
 half = HalfLineUsual()
 
@@ -22,8 +21,7 @@ probe = orbit_cluster_probe(o, radius=F(1, 10))
 print(f"cluster probe at radius 1/10: clustered={probe.clustered} "
       f"(witness index {probe.witness_index}, "
       f"{probe.neighbor_count} neighbours, threshold {probe.threshold})")
-print(f"orbit diameter: {probe.max_pairwise} "
-      f"(approx {approx_text(probe.max_pairwise)})")
+print(f"orbit diameter: {probe.max_pairwise}")
 
 print()
 print("=== doubling from 1 ===")

@@ -44,7 +44,7 @@ space = random_finite_space(3, seed=0)
 conditions = [StrictKannan(), KannanK(F(1, 3)), Fisher(),
               ChenYeh(F(0), F(0))]
 census = enumerate_census(space, conditions)
-strict = [r for r in census if r.satisfied("strict_kannan")]
+strict = [r for r in census if dict(r.satisfies)["strict_kannan"]]
 print(f"3 points -> {len(census)} self-maps, {len(strict)} strictly Kannan;")
 print("each of those has exactly one fixed point and globally convergent")
 print("iteration (enumerate_census raises loudly on any deviation).")

@@ -2,7 +2,8 @@
 
 Usage, from anywhere:
 
-    python3 mutation/run.py
+    python3 mutation/run.py               # every mutant
+    python3 mutation/run.py --only 50,51  # just these, numbered as printed
 
 For each entry of ``MUTANTS`` the tree is copied (without ``.git``) to a
 temporary directory, the one text change is applied there, and tier-1
@@ -11,13 +12,15 @@ runs on the copy with ``-x``.  A mutant is *killed* when the suite fails
 equivalent mutant carries a proof that it cannot change any verdict; it is
 reported apart from the others, and is expected to survive.
 
-Exit status 0 when every non-equivalent mutant is killed and every
-equivalent one survives, 1 otherwise.  Standard library only; each mutant
-costs one tier-1 run (about a minute for a survivor on 2 cores).
+Exit status 0 when every non-equivalent mutant run is killed and every
+equivalent one survives, 1 otherwise, and 2 for a number that names no
+mutant.  Standard library only; each mutant costs one tier-1 run (about
+a minute for a survivor on 2 cores).
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 import shutil
@@ -78,8 +81,11 @@ MUTANTS = [
      "    strict = lhs < rhs",
      "    strict = lhs <= rhs",
      "over the common denominator 6xy, rhs - lhs = 2(3xy+x+y) - 2(3xy+y-x) "
-     "= 4x > 0 for x < y, i.e. a margin of 2/(3y), so lhs == rhs never "
-     "occurs and < and <= agree on every pair"),
+     "= 4x > 0 for x < y, i.e. a margin of 2/(3y); the rows form every "
+     "value exactly in both dtypes, int32 up to _INT32_SAFE_N and int64 up "
+     "to _VECTOR_SAFE_N, as none passes _largest_intermediate(n), so the 4x "
+     "margin holds on both, lhs == rhs never occurs and < and <= agree on "
+     "every pair"),
     ("src/kannanlab/conditions.py",
      "        if isinstance(m, bool) or not isinstance(m, (int, str)):",
      "        if not isinstance(m, (int, str)):", None),
@@ -189,6 +195,12 @@ MUTANTS = [
     ("src/kannanlab/picard.py",
      "    found = list(dict.fromkeys(fixed))",
      "    found = list(fixed)", None),
+    ("src/kannanlab/completeness.py",
+     "    lambda n: _largest_intermediate(n) > np.iinfo(np.int32).max, start=2) - 1",
+     "    lambda n: _largest_intermediate(n) > np.iinfo(np.int32).max, start=2)", None),
+    ("src/kannanlab/completeness.py",
+     "np.int32 if n <= _INT32_SAFE_N else np.int64",
+     "np.int32 if n <= _INT32_SAFE_N + 1 else np.int64", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,
@@ -227,9 +239,29 @@ def describe(file: str, old: str, new: str) -> str:
     return f"{file}:{line + offset}  {before.strip()!r} -> {after.strip()!r}"
 
 
-def main() -> int:
+def mutant_numbers(text: str) -> list[int]:
+    """Parse "N,M,...": distinct mutant numbers, 1-based as printed, ascending."""
+    try:
+        numbers = sorted({int(part) for part in text.split(",")})
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}") from None
+    unknown = [n for n in numbers if not 1 <= n <= len(MUTANTS)]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"no mutant numbered {unknown[0]}; they run from 1 to {len(MUTANTS)}")
+    return numbers
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Mutation check of the tier-1 suite.")
+    parser.add_argument("--only", type=mutant_numbers, metavar="N,M",
+                        default=range(1, len(MUTANTS) + 1),
+                        help="run only the mutants with these numbers")
+    args = parser.parse_args(argv)
     rows = []
-    for number, (file, old, new, proof) in enumerate(MUTANTS, 1):
+    for number in args.only:
+        file, old, new, proof = MUTANTS[number - 1]
         start = time.perf_counter()
         failure = first_failure(file, old, new)
         seconds = time.perf_counter() - start

@@ -1,9 +1,9 @@
 """kannanlab: exact-arithmetic laboratory for Kannan-type contractive maps.
 
-Everything numeric in verdicts is an exact rational; floats appear only
-in rendering.  See README for the tour.  The package root exports the
-names the README, the demos and the tests use; everything else is
-imported from its module.
+Everything numeric in verdicts and reports is an exact rational; floats
+appear only in the Khan long-double cross-check.  See README for the
+tour.  The package root exports the names the README, the demos and the
+tests use; everything else is imported from its module.
 """
 
 from .rationals import lt_sqrt

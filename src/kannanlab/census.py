@@ -114,9 +114,6 @@ class CensusRow:
     picard_converges_from_all_starts: bool
     common_limit: Optional[str]
 
-    def satisfied(self, label: str) -> bool:
-        return dict(self.satisfies)[label]
-
 
 def classify_map(space: FiniteSpace, map_id: int,
                  conditions: Sequence[Condition]) -> CensusRow:

@@ -4,9 +4,10 @@ Everything numeric in the core is a :class:`fractions.Fraction` (a
 "Scalar" in this package): arbitrary-precision integers over a positive
 denominator, always in lowest terms, with exact arithmetic.  The
 contractive conditions checked elsewhere are *strict* inequalities, so no
-floating point is allowed anywhere near a verdict.  Floats appear only in
-report rendering, via :func:`approx_text`, and are always labelled
-approximate.
+floating point is allowed anywhere near a verdict, and no report renders
+one.  The only floats in the package are the long doubles of
+``census.khan_float_crosscheck``, an independent check of ``lt_sqrt``
+that never decides a verdict.
 
 The one non-rational quantity the lab ever meets is a square root
 (geometric-mean contractive terms).  ``lt_sqrt`` decides ``a < sqrt(u)``
@@ -56,11 +57,6 @@ def parse_scalar(text: str) -> Fraction:
 def scalar_text(x: Fraction) -> str:
     """Render a Scalar as "p/q" (or "p" when the denominator is 1)."""
     return str(x)
-
-
-def approx_text(x: Fraction) -> str:
-    """Rendering-only decimal approximation (6 significant digits)."""
-    return f"{float(x):.6g}"
 
 
 def lt_sqrt(a, u) -> bool:

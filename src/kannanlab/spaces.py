@@ -108,9 +108,6 @@ class Space:
     complete: Optional[bool] = None
     boundedly_compact: Optional[bool] = None
     compact: Optional[bool] = None
-    # Closed subset of finite-dimensional Euclidean space with the usual
-    # metric (such sets are boundedly compact).  None = not applicable.
-    closed_euclidean_subset: Optional[bool] = None
 
     def contains(self, p) -> bool:
         raise NotImplementedError
@@ -156,7 +153,6 @@ class HalfLineUsual(_UsualMetric):
     complete = True
     boundedly_compact = True
     compact = False
-    closed_euclidean_subset = True
 
     def contains(self, p) -> bool:
         return p >= 0
@@ -170,7 +166,6 @@ class UnitIntervalRight(_UsualMetric):
     complete = False
     boundedly_compact = False
     compact = False
-    closed_euclidean_subset = False
 
     def contains(self, p) -> bool:
         return 0 <= p < 1
@@ -184,7 +179,6 @@ class SplitSet(_UsualMetric):
     complete = False
     boundedly_compact = False
     compact = False
-    closed_euclidean_subset = False
 
     def contains(self, p) -> bool:
         return (1 < p <= 2) or p == -1 or p == 0
@@ -202,7 +196,6 @@ class ReciprocalSet(_UsualMetric):
     complete = False
     boundedly_compact = False
     compact = False
-    closed_euclidean_subset = False
 
     def contains(self, p) -> bool:
         return p > 0 and p.numerator == 1
@@ -222,7 +215,6 @@ class GornickiNat(Space):
     complete = True
     boundedly_compact = False
     compact = False
-    closed_euclidean_subset = None
 
     def contains(self, p) -> bool:
         return p.denominator == 1 and p >= 1
@@ -247,7 +239,6 @@ class FiniteSpace(Space):
     complete = True
     boundedly_compact = True
     compact = True
-    closed_euclidean_subset = None
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))

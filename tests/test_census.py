@@ -65,7 +65,7 @@ def test_two_point_census_exact():
     sp = two_point_unit_space()
     rows = enumerate_census(sp, [StrictKannan()])
     assert [r.map_id for r in rows] == ["00", "01", "10", "11"]
-    satisfied = {r.map_id: r.satisfied("strict_kannan") for r in rows}
+    satisfied = {r.map_id: dict(r.satisfies)["strict_kannan"] for r in rows}
     # only the two constant maps: identity compares 1 against 0, the swap
     # compares 1 against 1 and strictness fails
     assert satisfied == {"00": True, "01": False, "10": False, "11": True}
@@ -181,7 +181,7 @@ def test_classify_map_identity_row():
     sp = two_point_unit_space()
     row = classify_map(sp, int("01", 2), [StrictKannan()])
     assert row.map_id == "01"
-    assert not row.satisfied("strict_kannan")
+    assert not dict(row.satisfies)["strict_kannan"]
     assert row.fixed_point_count == 2
 
 

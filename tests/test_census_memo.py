@@ -163,7 +163,7 @@ def test_a_flipped_table_entry_is_caught_by_the_cross_check(monkeypatch):
     # it makes every strict map sending p1 and p2 to p3 non-strict, and
     # the first of them is the first sampled row that differs
     first = next(r.map_id for r in enumerate_census(space, [strict])
-                 if r.satisfied("strict_kannan") and r.map_id[1:3] == "33")
+                 if dict(r.satisfies)["strict_kannan"] and r.map_id[1:3] == "33")
     assert first != "3333"
     fill = kannanlab.census._verdict_table
 

@@ -8,8 +8,8 @@ import pytest
 
 from kannanlab import completeness
 from kannanlab.cli import main
-from kannanlab.completeness import (_VECTOR_SAFE_N, _largest_intermediate,
-                                    _scan_pairs, _scan_row_int64,
+from kannanlab.completeness import (_INT32_SAFE_N, _VECTOR_SAFE_N,
+                                    _largest_intermediate, _scan_pairs, _scan_row,
                                     build_reciprocal_witness,
                                     construct_counterexample_map,
                                     scan_fixed_point_free, spot_check_witness,
@@ -133,7 +133,7 @@ def test_gornicki_answer_matches_condition_checker():
 
 
 def fraction_row(x, n):
-    """The oracle: the row of ``_scan_row_int64`` in Fraction arithmetic,
+    """The oracle: the row of ``_scan_row`` in Fraction arithmetic,
     straight from the metric with no hand reduction, exact at every size."""
     first = [None, None, None]
     for y in range(x + 1, n + 1):
@@ -148,13 +148,13 @@ def fraction_row(x, n):
     return first
 
 
-def test_gornicki_answer_int64_and_python_scans_agree(monkeypatch):
-    assert all(_scan_row_int64(x, 60) == fraction_row(x, 60) for x in range(1, 60))
-    assert all(_scan_row_int64(x, 1000) == fraction_row(x, 1000)
+def test_gornicki_answer_rows_and_fraction_scans_agree(monkeypatch):
+    assert all(_scan_row(x, 60) == fraction_row(x, 60) for x in range(1, 60))
+    assert all(_scan_row(x, 1000) == fraction_row(x, 1000)
                for x in (1, 2, 3, 97, 500, 998, 999))
-    int64_scan = _scan_pairs(60)
-    monkeypatch.setattr(completeness, "_scan_row_int64", fraction_row)
-    assert _scan_pairs(60) == int64_scan
+    row_scan = _scan_pairs(60)
+    monkeypatch.setattr(completeness, "_scan_row", fraction_row)
+    assert _scan_pairs(60) == row_scan
 
 
 def test_gornicki_answer_report_fields():
@@ -169,6 +169,21 @@ def test_gornicki_answer_report_fields():
         verify_gornicki_answer(1)
 
 
+def test_int32_bound_is_derived_at_its_edge():
+    # the largest intermediate fits in int32 at the bound and not beyond
+    limit = 2 ** 31 - 1
+    assert _largest_intermediate(_INT32_SAFE_N) <= limit
+    assert _largest_intermediate(_INT32_SAFE_N + 1) > limit
+    assert _INT32_SAFE_N == 18_918
+
+
+def test_rows_are_exact_on_both_sides_of_the_int32_bound():
+    # the last row holds the largest intermediate: in int32 at the bound,
+    # in int64 one past it, where int32 would wrap and fail strict at y = n
+    for n in (_INT32_SAFE_N, _INT32_SAFE_N + 1):
+        assert _scan_row(n - 1, n) == fraction_row(n - 1, n) == [None, None, None]
+
+
 def test_int64_bound_is_derived_at_its_edge():
     # the largest intermediate fits in int64 at the bound and not beyond
     limit = 2 ** 63 - 1
@@ -181,7 +196,7 @@ def test_int64_last_row_is_exact_at_the_bound():
     # only the last row, which holds the largest intermediate: the full
     # scan at this size would be ~7.7e17 pairs
     n = _VECTOR_SAFE_N
-    assert _scan_row_int64(n - 1, n) == fraction_row(n - 1, n) == [None, None, None]
+    assert _scan_row(n - 1, n) == fraction_row(n - 1, n) == [None, None, None]
 
 
 def test_past_the_bound_is_refused_without_scanning(monkeypatch, capsys):
@@ -189,7 +204,7 @@ def test_past_the_bound_is_refused_without_scanning(monkeypatch, capsys):
     # true), so the size is refused before any row runs
     def no_scan(x, n):
         pytest.fail("a row was scanned past the bound")
-    monkeypatch.setattr(completeness, "_scan_row_int64", no_scan)
+    monkeypatch.setattr(completeness, "_scan_row", no_scan)
     with pytest.raises(ValueError, match="exceeds"):
         verify_gornicki_answer(_VECTOR_SAFE_N + 1)
     assert main(["gallery", "--gornicki-n", str(_VECTOR_SAFE_N + 1)]) == 2
@@ -200,7 +215,7 @@ def test_past_the_bound_is_refused_without_scanning(monkeypatch, capsys):
 def test_scan_reports_the_first_violation_of_a_row_body(monkeypatch):
     def row(x, n):  # a defective row body: strict fails at y = 5 of row 3
         return [None, 5, None] if x == 3 else [None, None, None]
-    monkeypatch.setattr(completeness, "_scan_row_int64", row)
+    monkeypatch.setattr(completeness, "_scan_row", row)
     assert _scan_pairs(6) == (15, True, False, True, (3, 5, "strict"))
 
 

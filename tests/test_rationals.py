@@ -7,8 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kannanlab.rationals import (approx_text, as_scalar, lt_sqrt, parse_scalar,
-                                 scalar_text)
+from kannanlab.rationals import as_scalar, lt_sqrt, parse_scalar, scalar_text
 
 scalars = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 4)
 
@@ -54,11 +53,6 @@ def test_parse_accepts_decimal_and_integer_shorthand():
     assert parse_scalar("1.5") == F(3, 2)
     assert parse_scalar("-7") == F(-7)
     assert parse_scalar("+2/4") == F(1, 2)
-
-
-def test_approx_text_is_rendering_only():
-    assert approx_text(F(1, 3)) == "0.333333"
-    assert approx_text(F(2)) == "2"
 
 
 @settings(max_examples=300, deadline=None)

@@ -115,8 +115,6 @@ def test_catalog_flags():
     assert UnitIntervalRight().complete is False
     assert ReciprocalSet().complete is False
     assert HalfLineUsual().boundedly_compact is True
-    assert HalfLineUsual().closed_euclidean_subset is True
-    assert SplitSet().closed_euclidean_subset is False
     fs = FiniteSpace(labels=("a",), matrix=((0,),))
     assert fs.compact is True
 

@@ -38,9 +38,9 @@ def test_fisher_rows_are_chen_yeh_rows():
     for size, seed in ((4, 0), (4, 1), (4, 2), (4, 3), (5, 0)):
         space = random_finite_space(size, seed=seed, mode="line")
         for row in enumerate_census(space, conds):
-            if row.satisfied("fisher"):
+            if dict(row.satisfies)["fisher"]:
                 fisher_rows += 1
-                assert row.satisfied("chen_yeh(a=0,b=0)"), (size, seed, row.map_id)
+                assert dict(row.satisfies)["chen_yeh(a=0,b=0)"], (size, seed, row.map_id)
     assert fisher_rows > 0
 
 

@@ -28,7 +28,7 @@ def satisfying_ids(size, seed, mode):
     """Per condition label, the ids of the maps that satisfy it."""
     space = random_finite_space(size, seed=seed, mode=mode)
     rows = enumerate_census(space, CONDITIONS)
-    return {c.label(): {r.map_id for r in rows if r.satisfied(c.label())}
+    return {c.label(): {r.map_id for r in rows if dict(r.satisfies)[c.label()]}
             for c in CONDITIONS}
 
 
