@@ -137,8 +137,8 @@ MUTANTS = [
      "        if self.m > MAX_HORIZON:",
      "        if self.m > MAX_HORIZON + 1:", None),
     ("src/kannanlab/census.py",
-     "    return np.array([table[x, y].ravel().take(T[:, x] * n + T[:, y])",
-     "    return np.array([table[x, y].ravel().take(T[:, y] * n + T[:, x])", None),
+     "        grid &= table[x, y].reshape(",
+     "        grid &= table[x, y].T.reshape(", None),
     ("src/kannanlab/census.py",
      "    U = _power(T, m)",
      "    U = _power(T, m - 1)", None),
@@ -149,8 +149,8 @@ MUTANTS = [
      "        ends = _power(T, n - 1)",
      "        ends = _power(T, n - 2)", None),
     ("src/kannanlab/census.py",
-     "    return [(table(StrictKannan()), cond.m) if isinstance(cond, IteratedKannan)",
-     "    return [(table(StrictKannan()), 0) if isinstance(cond, IteratedKannan)", None),
+     "        base, m = (StrictKannan(), cond.m) if isinstance(cond, IteratedKannan) else (cond, 0)",
+     "        base, m = (StrictKannan(), 0) if isinstance(cond, IteratedKannan) else (cond, 0)", None),
     ("src/kannanlab/census.py",
      "        key = np.vstack([verdicts, count, converges, limit + 1]).T.astype(np.uint8, order=\"C\")",
      "        key = np.vstack([verdicts, count, converges]).T.astype(np.uint8, order=\"C\")", None),
@@ -201,6 +201,9 @@ MUTANTS = [
     ("src/kannanlab/completeness.py",
      "np.int32 if n <= _INT32_SAFE_N else np.int64",
      "np.int32 if n <= _INT32_SAFE_N + 1 else np.int64", None),
+    ("src/kannanlab/census.py",
+     "    for x, y in itertools.combinations(range(n), 2):\n        grid &=",
+     "    for x, y in itertools.combinations(range(n - 1), 2):\n        grid &=", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

@@ -14,7 +14,9 @@ Each verdict is read from a table.  A pair-local verdict reads only x,
 y, Tx and Ty, so one boolean table V[x, y, Tx, Ty] per condition, filled
 by the condition's own exact ``verdict`` C(n,2)*n^2 times, decides every
 map: a map satisfies the condition iff its entry is true on every pair.
-Maps are taken 2^16 ids at a time as numpy digit arrays;
+Its column over all map ids, taken once per table, is the AND over
+pairs x < y of V[x, y] broadcast along axes x and y of the grid of maps.
+The rest is read from digit rows of 2^16 map ids at a time:
 ``iterated_kannan(m)`` reads the strict table at U = T^m, and fixed
 points, convergence and the common limit come from a power of T.  A
 :class:`Census` is one int32 code per map id into its distinct rows
@@ -92,18 +94,16 @@ def random_finite_space(n: int, seed: int, mode: str = "band") -> FiniteSpace:
 # ---------------------------------------------------------------------------
 
 def map_id_string(map_id: int, n: int) -> str:
-    """Base-n digit string of the assignment vector (labels[i] -> digit i)."""
-    digits = []
-    for i in range(n):
-        digits.append(str((map_id // n ** (n - 1 - i)) % n))
-    return "".join(digits)
+    """Base-n digits of the assignment vector (labels[i] -> digit i), a character each."""
+    if n > 10:
+        raise ValueError(f"a map id spells a digit per character, so n <= 10, not {n}")
+    return "".join(str(map_id // n ** (n - 1 - i) % n) for i in range(n))
 
 
 def map_from_id(space: FiniteSpace, map_id: int) -> TableMap:
-    n = space.size
-    assign = {space.labels[i]: space.labels[(map_id // n ** (n - 1 - i)) % n]
-              for i in range(n)}
-    return TableMap(space, assign)
+    digits = map_id_string(map_id, space.size)
+    return TableMap(space, {label: space.labels[int(digit)]
+                            for label, digit in zip(space.labels, digits)})
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,10 +121,8 @@ def classify_map(space: FiniteSpace, map_id: int,
     an orbit run from each start.  The census kernel's cross-check.
     """
     tm = map_from_id(space, map_id)
-    verdicts = tuple(
-        (cond.label(),
-         evaluate_condition(cond, space, tm, EXHAUSTIVE).holds)
-        for cond in conditions)
+    verdicts = tuple((cond.label(), evaluate_condition(cond, space, tm, EXHAUSTIVE).holds)
+                     for cond in conditions)
     fixed = sum(1 for l in space.labels if tm.assign[l] == l)
     # Every point an orbit visits shares its fate: the fixed point it
     # reaches, or None (no limit) when it cycles.  So an orbit runs only
@@ -137,14 +135,8 @@ def classify_map(space: FiniteSpace, map_id: int,
             fate.update(dict.fromkeys(o.points, limit))
     limits = [fate[l] for l in space.labels]
     converges = None not in limits
-    common = None
-    if converges and len(set(limits)) == 1:
-        common = limits[0]
-    return CensusRow(map_id=map_id_string(map_id, space.size),
-                     satisfies=verdicts,
-                     fixed_point_count=fixed,
-                     picard_converges_from_all_starts=converges,
-                     common_limit=common)
+    common = limits[0] if converges and len(set(limits)) == 1 else None
+    return CensusRow(map_id_string(map_id, space.size), verdicts, fixed, converges, common)
 
 
 def _check_theorems(conditions: Sequence[Condition], shape: tuple, map_id: str):
@@ -191,23 +183,35 @@ def _verdict_table(space: FiniteSpace, cond: Condition) -> np.ndarray:
     return table
 
 
+def _verdict_column(table: np.ndarray) -> np.ndarray:
+    """Each map's verdict in map-id order: the AND over pairs x < y of V[x, y]
+    broadcast along axes x and y of the grid of maps, whose axis i is the
+    image index of labels[i], raveled in C order (digit 0 leading).
+    """
+    n = len(table)
+    grid = np.ones((n,) * n, dtype=bool)
+    for x, y in itertools.combinations(range(n), 2):
+        grid &= table[x, y].reshape([n if axis in (x, y) else 1 for axis in range(n)])
+    return grid.ravel()
+
+
 def _lookups(space: FiniteSpace, conditions: Sequence[Condition]):
-    """(table, m) per condition: its verdict is ``table`` read at T^m.
+    """(table, column, m) per condition: its verdict is ``table`` read at
+    T^m, and ``column``, the table's verdict per map id, holds it at m = 0.
 
     ``iterated_kannan(m)`` is the strict inequality at (T^m x, T^m y),
     so it reads the strict table; every other condition reads its own,
-    at m = 0.  Equal conditions share a table, and tables are filled in
-    condition order.
+    at m = 0.  Equal conditions share a table and its column, and tables
+    are filled in condition order.
     """
-    tables = {}
-
-    def table(cond):
-        if cond not in tables:
-            tables[cond] = _verdict_table(space, cond)
-        return tables[cond]
-
-    return [(table(StrictKannan()), cond.m) if isinstance(cond, IteratedKannan)
-            else (table(cond), 0) for cond in conditions]
+    tables, lookups = {}, []
+    for cond in conditions:
+        base, m = (StrictKannan(), cond.m) if isinstance(cond, IteratedKannan) else (cond, 0)
+        if base not in tables:
+            table = _verdict_table(space, base)
+            tables[base] = table, _verdict_column(table)
+        lookups.append((*tables[base], m))
+    return lookups
 
 
 def _power(T: np.ndarray, k: int) -> np.ndarray:
@@ -219,14 +223,6 @@ def _power(T: np.ndarray, k: int) -> np.ndarray:
         T = np.take_along_axis(T, T, axis=1)
         k >>= 1
     return result
-
-
-def _pair_verdicts(table: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """(pairs, maps): V[x, y, Tx, Ty] for each pair x < y of each map."""
-    n = T.shape[1]
-    return np.array([table[x, y].ravel().take(T[:, x] * n + T[:, y])
-                     for x, y in itertools.combinations(range(n), 2)],
-                    dtype=bool).reshape(-1, len(T))
 
 
 def _shifted_pair_verdicts(strict: np.ndarray, T: np.ndarray, m: int) -> np.ndarray:
@@ -248,8 +244,13 @@ def _shifted_pair_verdicts(strict: np.ndarray, T: np.ndarray, m: int) -> np.ndar
     return np.array(entries, dtype=bool).reshape(-1, len(T))
 
 
+def _digit_rows(ids: np.ndarray, n: int) -> np.ndarray:
+    """Row k: the digits of map id ids[k], as :func:`map_id_string` spells them."""
+    return ids[:, None] // n ** np.arange(n - 1, -1, -1) % n
+
+
 def _map_ids(n: int) -> Iterator[str]:
-    """Every map id string in numeric order (n <= 7: a digit per character)."""
+    """Every map id string in numeric order, as :func:`map_id_string` spells it."""
     return map("".join, itertools.product("0123456789"[:n], repeat=n))
 
 
@@ -278,8 +279,7 @@ class Census:
 
 
 def enumerate_census(space: FiniteSpace,
-                     conditions: Sequence[Condition] = (StrictKannan(),)
-                     ) -> Census:
+                     conditions: Sequence[Condition] = (StrictKannan(),)) -> Census:
     """Every self-map's row, each checked against the theorems of the
     conditions it satisfies; every check has run when this returns.
 
@@ -294,16 +294,15 @@ def enumerate_census(space: FiniteSpace,
     lookups = _lookups(space, conditions)
     names = [c.label() for c in conditions]
     limit_labels = (*space.labels, None)  # index -1: no common limit
-    place = n ** np.arange(n - 1, -1, -1)
     sample = stated_sample(total)
     census = Census(space, conditions, np.empty(total, dtype=np.int32), [])
     known = {}  # shape -> its code
     for start in range(0, total, CHUNK_MAPS):
         ids = np.arange(start, min(start + CHUNK_MAPS, total))
-        T = ids[:, None] // place % n  # digit i: the image index of labels[i]
-        verdicts = np.array([(_shifted_pair_verdicts(table, T, m) if m
-                              else _pair_verdicts(table, T)).all(axis=0)
-                             for table, m in lookups],
+        T = _digit_rows(ids, n)
+        verdicts = np.array([_shifted_pair_verdicts(table, T, m).all(axis=0) if m
+                             else column[start:start + len(T)]
+                             for table, column, m in lookups],
                             dtype=bool).reshape(len(lookups), len(T))
         count = (T == np.arange(n)).sum(axis=1)
         # an orbit's tail has at most n - 1 points, so T^(n-1) x lies on
@@ -326,9 +325,8 @@ def enumerate_census(space: FiniteSpace,
         census.codes[ids] = np.array([known[shape] for shape in shapes], dtype=np.int32)[local]
         for map_id in [i for i in sample if start <= i < start + CHUNK_MAPS]:
             if classify_map(space, map_id, conditions) != census[map_id]:
-                raise TheoremContradictionError(
-                    f"census kernel and classify_map disagree on map "
-                    f"{census[map_id].map_id}")
+                raise TheoremContradictionError("census kernel and classify_map disagree "
+                                                f"on map {census[map_id].map_id}")
         # a row is its shape, so each shape is checked once, at its first map
         for j in new:
             _check_theorems(conditions, shapes[j], map_id_string(start + int(first[j]), n))
@@ -400,25 +398,22 @@ class TightnessReport:
 
 def tightness_scan(space: FiniteSpace) -> TightnessReport:
     strict = StrictKannan()
-    best: Optional[Fraction] = None
-    best_map = best_pair = None
-    satisfying = 0
-    for map_id, row in enumerate(enumerate_census(space, (strict,))):
-        if not row.satisfies[0][1]:
-            continue
-        satisfying += 1
+    census = enumerate_census(space, (strict,))
+    held = [code for code, (satisfies, *_) in enumerate(census.shapes) if satisfies[0][1]]
+    satisfying = np.flatnonzero(np.isin(census.codes, held)).tolist()
+    best = best_map = best_pair = None
+    for map_id in satisfying:
         tm = map_from_id(space, map_id)
         for x, y in space.distinct_pairs():
             # the map holds on the pair; rhs = 0 fixes x and y, so lhs = d(x,y) > 0 = rhs
             _, lhs, rhs = strict.verdict(space._dist, tm._apply, x, y)
             ratio = lhs / rhs
             if best is None or ratio > best:
-                best, best_map = ratio, row.map_id
-                best_pair = (x, y)
+                best, best_map, best_pair = ratio, map_id, (x, y)
     if satisfying and best is None:
         best = Fraction(0)  # a 1-point space: its one map holds with no pair
-    return TightnessReport(ratio=best, map_id=best_map, pair=best_pair,
-                           satisfying_maps=satisfying)
+    map_id = None if best_map is None else map_id_string(best_map, space.size)
+    return TightnessReport(best, map_id, best_pair, len(satisfying))
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,8 @@ _DEFAULT_CENSUS_CONDITIONS = [
 
 
 def cmd_census(args) -> tuple[int, Iterable[str]]:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, not {args.workers}")
     space = random_finite_space(args.size, args.seed, mode=args.mode)
     condition_spec = (_load_json_arg(args.conditions)
                       if args.conditions else _DEFAULT_CENSUS_CONDITIONS)
@@ -358,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["band", "line"], default="band")
     p.add_argument("--conditions", help="JSON list of condition definitions")
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted; has no effect (the census runs serially)")
+                   help="at least 1; has no effect and no upper bound, as the "
+                        "census runs serially and starts no process")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_census)

@@ -2,10 +2,11 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from kannanlab.census import (TheoremContradictionError, _check_theorems,
-                              classify_map, enumerate_census,
+                              _digit_rows, _map_ids, classify_map, enumerate_census,
                               khan_float_crosscheck, map_from_id,
                               map_id_string, random_finite_space,
                               render_census, tightness_scan)
@@ -59,6 +60,17 @@ def test_map_id_encoding_round_trip():
         for i, label in enumerate(sp.labels):
             assert tm.assign[label] == sp.labels[int(ids[i])]
     assert len(seen) == 27
+    # the renderer's enumeration, the scalar rule and the kernel's digit
+    # rows spell every id alike
+    for n in range(2, 7):
+        total = n ** n
+        strings = [map_id_string(k, n) for k in range(total)]
+        assert list(_map_ids(n)) == strings
+        rows = _digit_rows(np.arange(total), n).tolist()
+        assert ["".join(map(str, row)) for row in rows] == strings
+        assert [int(string, n) for string in strings] == list(range(total))
+    with pytest.raises(ValueError, match="n <= 10, not 11"):
+        map_id_string(0, 11)
 
 
 def test_two_point_census_exact():

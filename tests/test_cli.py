@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON schema conformance, reproducibility."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -299,11 +300,38 @@ def test_iterated_kannan_shift_past_the_cap_is_config_error(m):
 
 def test_census_workers_has_no_effect_on_stdout():
     outputs = set()
-    for workers in ("1", "2", "0", "-5"):
+    for workers in ("1", "2", "64"):
         proc = run_cli("census", "--size", "4", "--seed", "1", "--workers", workers)
         assert (proc.returncode, proc.stderr) == (0, ""), workers
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_census_refuses_fewer_than_one_worker(workers, tmp_path):
+    out = tmp_path / "census.csv"
+    for extra in ((), ("--out", str(out))):
+        proc = run_cli("census", "--size", "3", "--workers", workers, *extra)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"config error: --workers must be at least 1, not {workers}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("--size", "6", "--mode", "line", "--seed", "3"),
+     "94d4d0a05034e5d8e8fa49be7561ab08a42240bad78227eb89bde51433e252a9"),
+    (("--size", "6", "--seed", "0", "--format", "json"),
+     "72744e813773759f2d144fa4018e66b7dc54d28e1fbc3605bcb6164ba1f6a36a"),
+    (("--size", "7", "--mode", "line", "--seed", "0"),
+     "2326af98091527d9383da2ab1fa750b6912aa835c102f1f27a12ec4dd10a19ce"),
+])
+def test_census_bytes_past_the_reference_sizes_are_pinned(args, digest):
+    # the plain reference of tests/test_census_memo.py reaches size 5; these
+    # digests pin the bytes of larger censuses, CSV line ends included
+    proc = subprocess.run([sys.executable, "-m", "kannanlab.cli", "census", *args],
+                          capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
