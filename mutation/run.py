@@ -137,8 +137,8 @@ MUTANTS = [
      "        if self.m > MAX_HORIZON:",
      "        if self.m > MAX_HORIZON + 1:", None),
     ("src/kannanlab/census.py",
-     "        grid &= table[x, y].reshape(",
-     "        grid &= table[x, y].T.reshape(", None),
+     "        grid &= v.reshape(",
+     "        grid &= v.T.reshape(", None),
     ("src/kannanlab/census.py",
      "    U = _power(T, m)",
      "    U = _power(T, m - 1)", None),
@@ -202,8 +202,11 @@ MUTANTS = [
      "np.int32 if n <= _INT32_SAFE_N else np.int64",
      "np.int32 if n <= _INT32_SAFE_N + 1 else np.int64", None),
     ("src/kannanlab/census.py",
-     "    for x, y in itertools.combinations(range(n), 2):\n        grid &=",
-     "    for x, y in itertools.combinations(range(n - 1), 2):\n        grid &=", None),
+     "    for x, y in itertools.combinations(range(n), 2):\n        v = table[x, y]",
+     "    for x, y in itertools.combinations(range(n - 1), 2):\n        v = table[x, y]", None),
+    ("src/kannanlab/census.py",
+     "[n if a + fixed in (x, y) else 1",
+     "[n if a in (x, y) else 1", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

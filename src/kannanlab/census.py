@@ -14,16 +14,16 @@ Each verdict is read from a table.  A pair-local verdict reads only x,
 y, Tx and Ty, so one boolean table V[x, y, Tx, Ty] per condition, filled
 by the condition's own exact ``verdict`` C(n,2)*n^2 times, decides every
 map: a map satisfies the condition iff its entry is true on every pair.
-Its column over all map ids, taken once per table, is the AND over
-pairs x < y of V[x, y] broadcast along axes x and y of the grid of maps.
-The rest is read from digit rows of 2^16 map ids at a time:
-``iterated_kannan(m)`` reads the strict table at U = T^m, and fixed
-points, convergence and the common limit come from a power of T.  A
-:class:`Census` is one int32 code per map id into its distinct rows
-without ids, its shapes; the theorem check runs once per shape.  The
-plain per-map route, :func:`classify_map`, re-decides the ``stated_sample``
-of map ids as the kernel's cross-check, and a row that differs raises.
-All checks run before :func:`render_census` writes a byte, chunk by chunk.
+Maps are decided in blocks, the n^k maps that share their leading n - k
+digits, n^k the largest power of n within 2^16.  A block's column is the
+AND of V[x, y] over pairs x < y at its fixed digits, broadcast along its
+free axes; its digit rows give the rest: ``iterated_kannan(m)`` reads the
+strict table at U = T^m, and fixed points, convergence and the common limit
+come from a power of T.  A :class:`Census` is one int32 code per map id
+into its distinct rows without ids, its shapes; the theorem check runs once
+per shape.  The plain per-map route, :func:`classify_map`, re-decides the
+``stated_sample`` of map ids as the kernel's cross-check, and a row that
+differs raises.  All checks run before :func:`render_census` writes a byte.
 
 Map ids are base-|X| encodings of the assignment vector, enumerated in
 numeric order, so censuses are reproducible.
@@ -47,7 +47,7 @@ from .conditions import (EXHAUSTIVE, Condition, IteratedKannan, Khan, StrictKann
 from .maps import FixedPointReached, TableMap, orbit
 from .spaces import FiniteSpace, TheoremContradictionError, stated_sample
 
-MAX_CENSUS_MAPS = 10 ** 7
+MAX_CENSUS_MAPS = 8 ** 8
 # the largest space size whose n^n self-maps stay within the cap
 MAX_CENSUS_SIZE = next(n for n in itertools.count(2)
                        if (n + 1) ** (n + 1) > MAX_CENSUS_MAPS)
@@ -97,6 +97,8 @@ def map_id_string(map_id: int, n: int) -> str:
     """Base-n digits of the assignment vector (labels[i] -> digit i), a character each."""
     if n > 10:
         raise ValueError(f"a map id spells a digit per character, so n <= 10, not {n}")
+    if not 0 <= map_id < n ** n:
+        raise ValueError(f"map ids on {n} points run 0..{n ** n - 1}, not {map_id}")
     return "".join(str(map_id // n ** (n - 1 - i) % n) for i in range(n))
 
 
@@ -183,34 +185,33 @@ def _verdict_table(space: FiniteSpace, cond: Condition) -> np.ndarray:
     return table
 
 
-def _verdict_column(table: np.ndarray) -> np.ndarray:
-    """Each map's verdict in map-id order: the AND over pairs x < y of V[x, y]
-    broadcast along axes x and y of the grid of maps, whose axis i is the
-    image index of labels[i], raveled in C order (digit 0 leading).
+def _verdict_column(table: np.ndarray, lead: Sequence[int]) -> np.ndarray:
+    """The verdicts, in map-id order, of the block of maps whose leading
+    digits are ``lead``: the AND over pairs x < y of V[x, y] at the fixed
+    digits, broadcast along the block's free axes, raveled in C order.
     """
-    n = len(table)
-    grid = np.ones((n,) * n, dtype=bool)
+    n, fixed = len(table), len(lead)
+    grid = np.ones((n,) * (n - fixed), dtype=bool)
     for x, y in itertools.combinations(range(n), 2):
-        grid &= table[x, y].reshape([n if axis in (x, y) else 1 for axis in range(n)])
+        v = table[x, y][tuple(lead[a] for a in (x, y) if a < fixed)]
+        grid &= v.reshape([n if a + fixed in (x, y) else 1 for a in range(n - fixed)])
     return grid.ravel()
 
 
 def _lookups(space: FiniteSpace, conditions: Sequence[Condition]):
-    """(table, column, m) per condition: its verdict is ``table`` read at
-    T^m, and ``column``, the table's verdict per map id, holds it at m = 0.
+    """(table, m) per condition: its verdict is ``table`` read at T^m.
 
     ``iterated_kannan(m)`` is the strict inequality at (T^m x, T^m y),
     so it reads the strict table; every other condition reads its own,
-    at m = 0.  Equal conditions share a table and its column, and tables
-    are filled in condition order.
+    at m = 0.  Equal conditions share a table, and tables are filled in
+    condition order.
     """
     tables, lookups = {}, []
     for cond in conditions:
         base, m = (StrictKannan(), cond.m) if isinstance(cond, IteratedKannan) else (cond, 0)
         if base not in tables:
-            table = _verdict_table(space, base)
-            tables[base] = table, _verdict_column(table)
-        lookups.append((*tables[base], m))
+            tables[base] = _verdict_table(space, base)
+        lookups.append((tables[base], m))
     return lookups
 
 
@@ -291,18 +292,21 @@ def enumerate_census(space: FiniteSpace,
     if total > MAX_CENSUS_MAPS:
         raise ValueError(f"{n}^{n} = {total} self-maps exceeds the census cap")
     conditions = tuple(conditions)
-    lookups = _lookups(space, conditions)
     names = [c.label() for c in conditions]
+    if len(set(names)) < len(names):  # a row keys its verdicts by label
+        raise ValueError(f"census conditions share the label {max(names, key=names.count)}")
+    lookups = _lookups(space, conditions)
     limit_labels = (*space.labels, None)  # index -1: no common limit
     sample = stated_sample(total)
     census = Census(space, conditions, np.empty(total, dtype=np.int32), [])
     known = {}  # shape -> its code
-    for start in range(0, total, CHUNK_MAPS):
-        ids = np.arange(start, min(start + CHUNK_MAPS, total))
+    free = max(k for k in range(n + 1) if n ** k <= CHUNK_MAPS)  # a block's free digits
+    for start in range(0, total, n ** free):
+        ids = np.arange(start, start + n ** free)
         T = _digit_rows(ids, n)
         verdicts = np.array([_shifted_pair_verdicts(table, T, m).all(axis=0) if m
-                             else column[start:start + len(T)]
-                             for table, column, m in lookups],
+                             else _verdict_column(table, T[0, :n - free])
+                             for table, m in lookups],
                             dtype=bool).reshape(len(lookups), len(T))
         count = (T == np.arange(n)).sum(axis=1)
         # an orbit's tail has at most n - 1 points, so T^(n-1) x lies on
@@ -317,13 +321,13 @@ def enumerate_census(space: FiniteSpace,
         shapes = [(tuple(zip(names, held)), c, conv, limit_labels[lim])
                   for held, c, conv, lim in zip(verdicts.T[first].tolist(), count[first].tolist(),
                                                 converges[first].tolist(), limit[first].tolist())]
-        # the shapes first seen in this chunk, in the order of their first maps
+        # the shapes first seen in this block, in the order of their first maps
         new = [j for j in np.argsort(first).tolist() if shapes[j] not in known]
         for j in new:
             known[shapes[j]] = len(census.shapes)
             census.shapes.append(shapes[j])
         census.codes[ids] = np.array([known[shape] for shape in shapes], dtype=np.int32)[local]
-        for map_id in [i for i in sample if start <= i < start + CHUNK_MAPS]:
+        for map_id in [i for i in sample if start <= i < start + len(T)]:
             if classify_map(space, map_id, conditions) != census[map_id]:
                 raise TheoremContradictionError("census kernel and classify_map disagree "
                                                 f"on map {census[map_id].map_id}")

@@ -1,10 +1,13 @@
 """The brute-force oracle: generators, enumeration, theorem consistency."""
 
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import kannanlab
+import kannanlab.census
 from kannanlab.census import (TheoremContradictionError, _check_theorems,
                               _digit_rows, _map_ids, classify_map, enumerate_census,
                               khan_float_crosscheck, map_from_id,
@@ -42,9 +45,10 @@ def test_generator_rejects_bad_sizes_and_modes():
     with pytest.raises(ValueError):
         random_finite_space(1, seed=0)
     with pytest.raises(ValueError):
+        random_finite_space(10, seed=0)
+    with pytest.raises(ValueError, match="2..8"):  # 9^9 maps exceed the census cap
         random_finite_space(9, seed=0)
-    with pytest.raises(ValueError, match="2..7"):  # 8^8 maps exceed the census cap
-        random_finite_space(8, seed=0)
+    assert random_finite_space(8, seed=0).size == 8
     with pytest.raises(ValueError):
         random_finite_space(3, seed=0, mode="fancy")
 
@@ -73,6 +77,20 @@ def test_map_id_encoding_round_trip():
         map_id_string(0, 11)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_map_ids_outside_the_maps_are_refused(n):
+    sp = random_finite_space(n, seed=0)
+    last = n ** n - 1
+    assert map_id_string(last, n) == str(n - 1) * n
+    assert kannanlab.map_from_id(sp, last).assign == {label: sp.labels[-1]
+                                                      for label in sp.labels}
+    for map_id in (n ** n, -1):
+        with pytest.raises(ValueError, match=f"run 0..{last}, not {map_id}$"):
+            map_id_string(map_id, n)
+        with pytest.raises(ValueError, match=f"run 0..{last}, not {map_id}$"):
+            kannanlab.map_from_id(sp, map_id)
+
+
 def test_two_point_census_exact():
     sp = two_point_unit_space()
     rows = enumerate_census(sp, [StrictKannan()])
@@ -96,12 +114,44 @@ def test_census_totality():
     assert len({r.map_id for r in rows}) == 27
 
 
+def discrete_space(n):
+    return FiniteSpace(labels=[f"p{i}" for i in range(n)],
+                       matrix=[[int(i != j) for j in range(n)] for i in range(n)])
+
+
 def test_census_cap():
-    labels = [f"p{i}" for i in range(8)]
-    sp = FiniteSpace(labels=labels,
-                     matrix=[[int(i != j) for j in range(8)] for i in range(8)])
-    with pytest.raises(ValueError, match="cap"):
-        enumerate_census(sp, [StrictKannan()])
+    with pytest.raises(ValueError, match="9\\^9 = 387420489 self-maps exceeds the census cap"):
+        enumerate_census(discrete_space(9), [StrictKannan()])
+
+
+class TableFilled(Exception):
+    pass
+
+
+def refuse_to_fill(space, cond):
+    raise TableFilled(cond.label())
+
+
+def test_an_eight_point_census_passes_the_cap(monkeypatch):
+    # the first table fill comes after every refusal; it is stopped there,
+    # as tier-1 runs no size-8 census
+    monkeypatch.setattr(kannanlab.census, "_verdict_table", refuse_to_fill)
+    with pytest.raises(TableFilled, match="strict_kannan"):
+        enumerate_census(discrete_space(8), [StrictKannan()])
+
+
+@pytest.mark.parametrize("conditions", [
+    [KannanK(F(1, 3)), StrictKannan(), KannanK(F(2, 6))],
+    [ChenYeh(F(0), F(0)), ChenYeh(F(0), F(0), uniqueness_bounds=True)],
+])
+def test_conditions_that_share_a_label_are_refused_before_any_table(conditions, monkeypatch):
+    # a row keys its verdicts by label, so one of the two would be lost;
+    # Chen-Yeh's uniqueness bounds change its conclusion, not its label
+    monkeypatch.setattr(kannanlab.census, "_verdict_table", refuse_to_fill)
+    label = conditions[0].label()
+    assert conditions[-1].label() == label
+    with pytest.raises(ValueError, match=f"share the label {re.escape(label)}$"):
+        enumerate_census(random_finite_space(2, seed=0), conditions)
 
 
 def test_theorem_consistency_on_sampled_spaces():

@@ -22,7 +22,7 @@ import pytest
 import kannanlab.census
 import kannanlab.conditions
 from kannanlab.census import (CensusRow, TheoremContradictionError,
-                              _shifted_pair_verdicts, _verdict_table,
+                              _shifted_pair_verdicts, _verdict_column, _verdict_table,
                               enumerate_census, khan_float_crosscheck,
                               map_from_id, map_id_string, random_finite_space,
                               render_census, tightness_scan)
@@ -83,7 +83,7 @@ def test_census_rows_equal_the_plain_reference(size, seed, mode, conditions):
 
 @pytest.mark.parametrize("mode", ["band", "line"])
 @pytest.mark.parametrize("size", [4, 5])
-def test_chunks_that_do_not_divide_the_maps_change_no_row_or_byte(size, mode, monkeypatch):
+def test_blocks_of_any_size_change_no_row_or_byte(size, mode, monkeypatch):
     space = random_finite_space(size, seed=1, mode=mode)
     conditions = [*DEFAULT, IteratedKannan(1)]
 
@@ -92,10 +92,28 @@ def test_chunks_that_do_not_divide_the_maps_change_no_row_or_byte(size, mode, mo
         return list(census), ["".join(render_census(census, {"size": size}, fmt))
                               for fmt in ("csv", "json")]
 
-    whole = rows_and_documents()
-    monkeypatch.setattr(kannanlab.census, "CHUNK_MAPS", 97)
-    assert size ** size > 97 and size ** size % 97 != 0
-    assert rows_and_documents() == whole
+    whole = rows_and_documents()  # one block: size^size is within CHUNK_MAPS
+    # blocks of 1 map (every digit fixed), of size maps (one digit free),
+    # and of the largest power of size within 97 (one or three fixed)
+    for chunk in (1, size, 97):
+        monkeypatch.setattr(kannanlab.census, "CHUNK_MAPS", chunk)
+        assert rows_and_documents() == whole, chunk
+
+
+def test_a_block_column_is_its_slice_of_the_whole_product():
+    space = random_finite_space(5, seed=3, mode="line")
+    n = space.size
+    T = np.array(list(itertools.product(range(n), repeat=n)))  # map-id order
+    for cond in DEFAULT:
+        table = _verdict_table(space, cond)
+        whole = np.ones(n ** n, dtype=bool)
+        for x, y in itertools.combinations(range(n), 2):
+            whole &= table[x, y, T[:, x], T[:, y]]
+        assert 0 < whole.sum() < n ** n or cond == Khan()
+        for fixed in range(n + 1):
+            blocks = whole.reshape(n ** fixed, n ** (n - fixed))
+            for index, lead in enumerate(itertools.product(range(n), repeat=fixed)):
+                assert np.array_equal(_verdict_column(table, lead), blocks[index]), lead
 
 
 def test_pair_local_verdicts_run_at_most_once_per_pair_and_images(monkeypatch, sample_rule):

@@ -350,28 +350,27 @@ def test_census_with_no_conditions_lists_every_map(fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_census_repeated_condition_keeps_one_json_key_and_every_csv_column(fmt):
-    conditions = '[{"kind": "fisher"}, {"kind": "khan"}, {"kind": "fisher"}]'
-    proc = run_cli("census", "--size", "3", "--seed", "1", "--mode", "line",
-                   "--conditions", conditions, "--format", fmt)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    if fmt == "csv":
-        lines = proc.stdout.splitlines()
-        assert lines[1] == ("map_id,fisher,khan,fisher,fixed_point_count,"
-                            "converges,common_limit")
-        assert len(lines) == 2 + 27
-        assert lines[2] == "000,true,false,true,1,true,p0"
-        assert all(row.split(",")[1] == row.split(",")[3] for row in lines[2:])
-    else:
-        rows = json.loads(proc.stdout)["rows"]
-        assert len(rows) == 27
-        assert all(sorted(r["satisfies"]) == ["fisher", "khan"] for r in rows)
-        assert proc.stdout.count('"fisher": ') == 27  # one key per row
+def test_census_refuses_conditions_that_share_a_label(fmt, tmp_path):
+    # a JSON row keys its verdicts by label and a CSV header names a column
+    # by it, so two conditions with one label cannot both be reported
+    out = tmp_path / "census.out"
+    for conditions, label in [
+            ('[{"kind": "kannan_k", "k": "1/3"}, {"kind": "kannan_k", "k": "2/6"}]',
+             "kannan_k(1/3)"),
+            ('[{"kind": "chen_yeh", "a": "0", "b": "0"}, {"kind": "fisher"}, '
+             '{"kind": "chen_yeh", "a": "0", "b": "0", "uniqueness_bounds": true}]',
+             "chen_yeh(a=0,b=0)")]:
+        for extra in ((), ("--out", str(out))):
+            proc = run_cli("census", "--size", "2", "--conditions", conditions,
+                           "--format", fmt, *extra)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == f"config error: census conditions share the label {label}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("conditions", [
     [], [{"kind": "strict_kannan"}],
-    [{"kind": "fisher"}, {"kind": "khan"}, {"kind": "fisher"}],
+    [{"kind": "fisher"}, {"kind": "khan"}, {"kind": "kannan_k", "k": "2/6"}],
     [{"kind": "chen_yeh", "a": "1/3", "b": "3"}, {"kind": "iterated_kannan", "m": 1},
      {"kind": "kannan_k", "k": "1/4"}],
 ])
