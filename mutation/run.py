@@ -78,14 +78,14 @@ MUTANTS = [
      "        if holds and cond.picard_converges and not attracts:",
      "        if holds and False and not attracts:", None),
     ("src/kannanlab/completeness.py",
-     "    strict = lhs < rhs",
-     "    strict = lhs <= rhs",
+     "    np.less(lhs, rhs, out=strict)",
+     "    np.less_equal(lhs, rhs, out=strict)",
      "over the common denominator 6xy, rhs - lhs = 2(3xy+x+y) - 2(3xy+y-x) "
-     "= 4x > 0 for x < y, i.e. a margin of 2/(3y); the rows form every "
+     "= 4x > 0 for x < y, i.e. a margin of 2/(3y); the tiles form every "
      "value exactly in both dtypes, int32 up to _INT32_SAFE_N and int64 up "
-     "to _VECTOR_SAFE_N, as none passes _largest_intermediate(n), so the 4x "
-     "margin holds on both, lhs == rhs never occurs and < and <= agree on "
-     "every pair"),
+     "to _VECTOR_SAFE_N, as none passes _largest_intermediate(n), and a "
+     "clamped cell repeats its row's first pair, so the 4x margin holds on "
+     "every cell, lhs == rhs never occurs and < and <= agree on every pair"),
     ("src/kannanlab/conditions.py",
      "        if isinstance(m, bool) or not isinstance(m, (int, str)):",
      "        if not isinstance(m, (int, str)):", None),
@@ -207,6 +207,12 @@ MUTANTS = [
     ("src/kannanlab/census.py",
      "[n if a + fixed in (x, y) else 1",
      "[n if a in (x, y) else 1", None),
+    ("src/kannanlab/completeness.py",
+     "xx + 1, out=y)",
+     "xx, out=y)", None),
+    ("src/kannanlab/completeness.py",
+     "(x0 + cell // width,",
+     "(x0,", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

@@ -39,10 +39,11 @@ the two closed forms
              = (d(x,Tx) + d(y,Ty)) / 2          (for x < y)
 
 are verified exhaustively in exact integer arithmetic: every pair up to
-n is decided on rows of numerators over 6xy, in int32 while n is at most
-``_INT32_SAFE_N`` (18,918) and in int64 up to ``_VECTOR_SAFE_N``
-(1,239,850,262).  Both bounds are derived in code from the largest value
-a row forms, and a larger n is refused before any pair is scanned.
+n is decided on tiles of rows of numerators over 6xy, written into one
+workspace per scan, in int32 while n is at most ``_INT32_SAFE_N``
+(18,918) and in int64 up to ``_VECTOR_SAFE_N`` (1,239,850,262).  Both
+bounds are derived in code from the largest value a tile forms, and a
+larger n is refused before any pair is scanned.
 """
 
 from __future__ import annotations
@@ -494,9 +495,9 @@ def verify_gornicki_answer(n: int) -> GornickiAnswerReport:
     * the strict inequality between them holds,
     * d(x,y) > 1 (so Cauchy sequences must be eventually constant),
 
-    and that no x <= n is fixed by T.  The scan runs on integer vectors
-    with no gcd: every quantity is a numerator over the common
-    denominator 6xy.  The vectors are int32 for n up to ``_INT32_SAFE_N``
+    and that no x <= n is fixed by T.  The scan runs on tiles of rows of
+    integers with no gcd: every quantity is a numerator over the common
+    denominator 6xy.  The tiles are int32 for n up to ``_INT32_SAFE_N``
     (18,918) and int64 above it, exact for n up to ``_VECTOR_SAFE_N``
     (about 1.24e9); a larger n is refused with ValueError before any pair
     is scanned.  The three checks run on every pair in both dtypes.  A
@@ -530,70 +531,121 @@ def check_gornicki_n(n: int) -> None:
 
 _CHECKS = ("closed_form", "strict", "distance")
 
+# The most cells a tile of rows holds; a single row may hold more.  Each
+# tile costs about 25 numpy calls however many rows it holds.  At n = 10^4
+# a scan took 0.22-0.25 s with tiles of 2^16 cells, 0.24-0.29 s with 2^15
+# and 0.25-0.30 s with 2^17 (2-core Xeon, numpy 2.4, 3 runs each).
+TILE_CELLS = 1 << 16
+
 
 def _scan_pairs(n: int):
-    """Run ``_scan_row`` over x = 1..n-1 and merge its findings.
+    """Run ``_scan_rows`` over tiles of x = 1..n-1 and merge its findings.
 
-    Returns (pairs, forms_ok, strict_ok, dist_ok, first_violation), where
-    first_violation is (x, y, check) for the first failing row, its first
-    failing check in ``_CHECKS`` order, and that check's first failing y.
+    A tile takes as many rows as fit in ``TILE_CELLS`` cells, at least
+    one, and every tile reuses one workspace.  Returns (pairs, forms_ok,
+    strict_ok, dist_ok, first_violation), where first_violation is
+    (x, y, check) for the first failing row, its first failing check in
+    ``_CHECKS`` order, and that check's first failing y.
     """
+    work = _workspace(n, max(TILE_CELLS, n - 1))
     failed = set()
     first_violation = None
-    for x in range(1, n):
-        for name, y in zip(_CHECKS, _scan_row(x, n)):
-            if y is not None:
-                failed.add(name)
-                if first_violation is None:
-                    first_violation = (x, y, name)
+    x0 = 1
+    while x0 < n:
+        x1 = min(n, x0 + max(1, TILE_CELLS // (n - x0)))
+        found = [(first[0], i, first[1])
+                 for i, first in enumerate(_scan_rows(x0, x1, n, work)) if first]
+        failed.update(_CHECKS[i] for _, i, _ in found)
+        if found and first_violation is None:
+            x, i, y = min(found)
+            first_violation = (x, y, _CHECKS[i])
+        x0 = x1
     return (n * (n - 1) // 2, "closed_form" not in failed,
             "strict" not in failed, "distance" not in failed, first_violation)
 
 
-def _scan_row(x: int, n: int) -> list:
-    """The row x < y <= n on integer vectors: the first failing y per check, or None.
+def _workspace(n: int, cells: int) -> list:
+    """Six integer and three boolean buffers of ``cells`` cells, which
+    every tile of a scan up to n writes into.  The integers are int32
+    while n is at most ``_INT32_SAFE_N`` and int64 above it.
+    """
+    dtype = np.int32 if n <= _INT32_SAFE_N else np.int64
+    return ([np.empty(cells, dtype=dtype) for _ in range(6)]
+            + [np.empty(cells, dtype=bool) for _ in range(3)])
 
-    Each distance is reduced by hand, d(3x,3y) = (3xy + |y-x|) / (3xy) and
-    d(x,3x) = (3x+2) / (3x), so every quantity below is a numerator over
-    the common denominator 6xy.  The vectors are int32 while n is at most
-    ``_INT32_SAFE_N`` and int64 above it; the constants are Python ints,
-    which NumPy 2 casts to the vectors' dtype, so every value is formed in
-    that dtype and is exact while it does not overflow (see
+
+def _scan_rows(x0: int, x1: int, n: int, work: list) -> list:
+    """Rows x0 <= x < x1 of pairs x < y <= n, decided as one tile: per
+    check, (x, y) for the first failing row and its first failing y, or
+    None.
+
+    The tile is (x1 - x0) x (n - x0) cells, columns y = x0+1..n.  A cell
+    left of x+1 is clamped to y = x+1, so it repeats the row's first
+    pair, and the first failing cell in row-major order lies in the first
+    failing row, at its first failing y.  Each distance is reduced by
+    hand, d(3x,3y) = (3xy + |y-x|) / (3xy) and d(x,3x) = (3x+2) / (3x),
+    so every quantity below is a numerator over the common denominator
+    6xy.  Every value is written into ``work`` (see ``_workspace``) in
+    its dtype; the constants are Python ints, which NumPy 2 casts to that
+    dtype, so every value is exact while it does not overflow (see
     ``_largest_intermediate``).
     """
-    y = np.arange(x + 1, n + 1, dtype=np.int32 if n <= _INT32_SAFE_N else np.int64)
-    xx = y.dtype.type(x)
-    delta = np.abs(y - xx)
-    xy3 = 3 * xx * y
+    rows, width = x1 - x0, n - x0
+    y, delta, xy3, lhs, rhs, t, forms, strict, apart = (
+        b[:rows * width].reshape(rows, width) for b in work)
+    xx = np.arange(x0, x1, dtype=y.dtype)[:, None]
+    np.maximum(np.arange(x0 + 1, n + 1, dtype=y.dtype), xx + 1, out=y)
+    np.subtract(y, xx, out=delta)
+    np.abs(delta, out=delta)
+    np.multiply(3 * xx, y, out=xy3)
     # d(Tx,Ty) via the metric, Tx = 3x
-    lhs = 2 * (xy3 + delta)
+    np.add(xy3, delta, out=lhs)
+    lhs *= 2
     # (d(x,Tx) + d(y,Ty)) / 2 via the metric
-    rhs = (3 * xx + 2) * y + (3 * y + 2) * xx
+    np.multiply(3 * xx + 2, y, out=rhs)
+    np.multiply(3, y, out=t)
+    t += 2
+    t *= xx
+    rhs += t
     # closed forms 1 + 1/(3x) - 1/(3y) and 1 + 1/(3x) + 1/(3y)
-    forms = (lhs == 2 * (xy3 + y - xx)) & (rhs == 2 * (xy3 + xx + y))
+    np.add(xy3, y, out=t)
+    t -= xx
+    t *= 2
+    np.equal(lhs, t, out=forms)
+    np.add(xy3, xx, out=t)
+    t += y
+    t *= 2
+    np.equal(rhs, t, out=strict)  # strict is scratch until its check below
+    forms &= strict
     # `<=` for `<` would be an equivalent change: rhs - lhs = 4x over 6xy = 2/(3y) > 0
-    strict = lhs < rhs
+    np.less(lhs, rhs, out=strict)
     # d(x,y) > 1  <=>  (xy + |y-x|) / (xy) > 1
-    masks = (forms, strict, delta > 0)
-    return [None if mask.all() else int(y[np.argmin(mask)]) for mask in masks]
+    np.greater(delta, 0, out=apart)
+    firsts = []
+    for mask in (forms, strict, apart):
+        cell = int(np.argmin(mask))
+        firsts.append(None if mask.flat[cell]
+                      else (x0 + cell // width, int(y.flat[cell])))
+    return firsts
 
 
 def _largest_intermediate(n: int) -> int:
-    """The largest value ``_scan_row`` forms for pairs up to n, exactly.
+    """The largest value ``_scan_rows`` forms for pairs up to n, exactly.
 
     It is the closed-form numerator 2(3xy + x + y), which rhs equals, at
     the last pair x = n-1, y = n: every other value is a smaller sum of
     the same positive terms, and each grows in x and y.  Both bounds of
-    the scan are derived from it: ``_INT32_SAFE_N``, up to which the rows
-    run in int32, and ``_VECTOR_SAFE_N``, up to which they run in int64.
+    the scan are derived from it: ``_INT32_SAFE_N``, up to which the tiles
+    are int32, and ``_VECTOR_SAFE_N``, up to which they are int64.  A
+    cell clamped left of its row's first pair repeats that pair's values.
     """
     x, y = n - 1, n
     return 2 * (3 * x * y + x + y)
 
 
-# The largest n whose int32 scan is exact: 18,918.  Above it the rows run
-# in int64.  At n = 10^4 the int32 scan took 0.37 s against 0.90 s for
-# int64 rows (2-core Xeon, numpy 2.4): the rows move half the bytes.
+# The largest n whose int32 scan is exact: 18,918.  Above it the tiles are
+# int64, which move twice the bytes: n = 18,918 took 0.84 s in int32 and
+# n = 18,919 took 1.7 s in int64 (2-core Xeon, numpy 2.4).
 _INT32_SAFE_N = _least_index(
     lambda n: _largest_intermediate(n) > np.iinfo(np.int32).max, start=2) - 1
 

@@ -92,11 +92,13 @@ def test_blocks_of_any_size_change_no_row_or_byte(size, mode, monkeypatch):
         return list(census), ["".join(render_census(census, {"size": size}, fmt))
                               for fmt in ("csv", "json")]
 
-    whole = rows_and_documents()  # one block: size^size is within CHUNK_MAPS
+    whole = rows_and_documents()  # one block and one rendered piece
     # blocks of 1 map (every digit fixed), of size maps (one digit free),
-    # and of the largest power of size within 97 (one or three fixed)
+    # and of the largest power of size within 97 (one or three fixed),
+    # rendered in pieces of as many rows
     for chunk in (1, size, 97):
         monkeypatch.setattr(kannanlab.census, "CHUNK_MAPS", chunk)
+        monkeypatch.setattr(kannanlab.census, "RENDER_ROWS", chunk)
         assert rows_and_documents() == whole, chunk
 
 

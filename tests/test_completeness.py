@@ -4,12 +4,14 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from kannanlab import completeness
 from kannanlab.cli import main
-from kannanlab.completeness import (_INT32_SAFE_N, _VECTOR_SAFE_N,
-                                    _largest_intermediate, _scan_pairs, _scan_row,
+from kannanlab.completeness import (_INT32_SAFE_N, _VECTOR_SAFE_N, TILE_CELLS,
+                                    _largest_intermediate, _scan_pairs, _scan_rows,
+                                    _workspace,
                                     build_reciprocal_witness,
                                     construct_counterexample_map,
                                     scan_fixed_point_free, spot_check_witness,
@@ -132,29 +134,43 @@ def test_gornicki_answer_matches_condition_checker():
     assert report.pairs_checked == len(pairs)
 
 
-def fraction_row(x, n):
-    """The oracle: the row of ``_scan_row`` in Fraction arithmetic,
-    straight from the metric with no hand reduction, exact at every size."""
+def fraction_rows(x0, x1, n):
+    """The oracle: the tile of ``_scan_rows`` in Fraction arithmetic,
+    straight from the metric with no hand reduction and no clamp, exact at
+    every size: per check, (x, y) for the first failing row and its first
+    failing y, or None."""
     first = [None, None, None]
-    for y in range(x + 1, n + 1):
-        lhs = F(9 * x * y + 3 * abs(y - x), 9 * x * y)
-        rhs = (F(3 * x * x + 2 * x, 3 * x * x) + F(3 * y * y + 2 * y, 3 * y * y)) / 2
-        oks = (lhs == F(3 * x * y + y - x, 3 * x * y)
-               and rhs == F(3 * x * y + x + y, 3 * x * y),
-               lhs < rhs, abs(y - x) > 0)
-        for i, ok in enumerate(oks):
-            if not ok and first[i] is None:
-                first[i] = y
+    for x in range(x0, x1):
+        for y in range(x + 1, n + 1):
+            lhs = F(9 * x * y + 3 * abs(y - x), 9 * x * y)
+            rhs = (F(3 * x * x + 2 * x, 3 * x * x) + F(3 * y * y + 2 * y, 3 * y * y)) / 2
+            oks = (lhs == F(3 * x * y + y - x, 3 * x * y)
+                   and rhs == F(3 * x * y + x + y, 3 * x * y),
+                   lhs < rhs, abs(y - x) > 0)
+            for i, ok in enumerate(oks):
+                if not ok and first[i] is None:
+                    first[i] = (x, y)
     return first
 
 
+def tile(x0, x1, n):
+    """``_scan_rows`` on a workspace of just the tile's cells."""
+    return _scan_rows(x0, x1, n, _workspace(n, (x1 - x0) * (n - x0)))
+
+
 def test_gornicki_answer_rows_and_fraction_scans_agree(monkeypatch):
-    assert all(_scan_row(x, 60) == fraction_row(x, 60) for x in range(1, 60))
-    assert all(_scan_row(x, 1000) == fraction_row(x, 1000)
-               for x in (1, 2, 3, 97, 500, 998, 999))
-    row_scan = _scan_pairs(60)
-    monkeypatch.setattr(completeness, "_scan_row", fraction_row)
-    assert _scan_pairs(60) == row_scan
+    assert all(tile(x, x + 1, 60) == fraction_rows(x, x + 1, 60) for x in range(1, 60))
+    assert tile(1, 60, 60) == fraction_rows(1, 60, 60)
+    assert all(tile(x0, x1, 1000) == fraction_rows(x0, x1, 1000)
+               for x0, x1 in ((1, 3), (97, 98), (500, 507), (990, 1000)))
+    expected = _scan_pairs(60)
+    with monkeypatch.context() as patch:
+        patch.setattr(completeness, "_scan_rows",
+                      lambda x0, x1, n, work: fraction_rows(x0, x1, n))
+        assert _scan_pairs(60) == expected
+    for cells in (1, 7, 59):
+        monkeypatch.setattr(completeness, "TILE_CELLS", cells)
+        assert _scan_pairs(60) == expected
 
 
 def test_gornicki_answer_report_fields():
@@ -177,11 +193,16 @@ def test_int32_bound_is_derived_at_its_edge():
     assert _INT32_SAFE_N == 18_918
 
 
-def test_rows_are_exact_on_both_sides_of_the_int32_bound():
+def test_rows_are_exact_on_both_sides_of_the_int32_bound(monkeypatch):
     # the last row holds the largest intermediate: in int32 at the bound,
     # in int64 one past it, where int32 would wrap and fail strict at y = n
     for n in (_INT32_SAFE_N, _INT32_SAFE_N + 1):
-        assert _scan_row(n - 1, n) == fraction_row(n - 1, n) == [None, None, None]
+        assert tile(n - 1, n, n) == fraction_rows(n - 1, n, n) == [None, None, None]
+    n = _INT32_SAFE_N + 1
+    monkeypatch.setattr(completeness, "_INT32_SAFE_N", n)
+    work = _workspace(n, 1)
+    assert work[0].dtype == np.int32
+    assert _scan_rows(n - 1, n, n, work) == [None, (n - 1, n), None]
 
 
 def test_int64_bound_is_derived_at_its_edge():
@@ -196,15 +217,16 @@ def test_int64_last_row_is_exact_at_the_bound():
     # only the last row, which holds the largest intermediate: the full
     # scan at this size would be ~7.7e17 pairs
     n = _VECTOR_SAFE_N
-    assert _scan_row(n - 1, n) == fraction_row(n - 1, n) == [None, None, None]
+    assert tile(n - 1, n, n) == fraction_rows(n - 1, n, n) == [None, None, None]
 
 
 def test_past_the_bound_is_refused_without_scanning(monkeypatch, capsys):
     # past the bound int64 wraps around silently (lhs < rhs still reads
     # true), so the size is refused before any row runs
-    def no_scan(x, n):
-        pytest.fail("a row was scanned past the bound")
-    monkeypatch.setattr(completeness, "_scan_row", no_scan)
+    def no_scan(*args):
+        pytest.fail("a workspace was allocated or a tile scanned past the bound")
+    monkeypatch.setattr(completeness, "_workspace", no_scan)
+    monkeypatch.setattr(completeness, "_scan_rows", no_scan)
     with pytest.raises(ValueError, match="exceeds"):
         verify_gornicki_answer(_VECTOR_SAFE_N + 1)
     assert main(["gallery", "--gornicki-n", str(_VECTOR_SAFE_N + 1)]) == 2
@@ -213,10 +235,94 @@ def test_past_the_bound_is_refused_without_scanning(monkeypatch, capsys):
 
 
 def test_scan_reports_the_first_violation_of_a_row_body(monkeypatch):
-    def row(x, n):  # a defective row body: strict fails at y = 5 of row 3
-        return [None, 5, None] if x == 3 else [None, None, None]
-    monkeypatch.setattr(completeness, "_scan_row", row)
-    assert _scan_pairs(6) == (15, True, False, True, (3, 5, "strict"))
+    def defective(failures):
+        # a defective tile body: check i fails first at failures[i] = (x, y)
+        def rows(x0, x1, n, work):
+            return [f if f and x0 <= f[0] < x1 else None for f in failures]
+        return rows
+
+    cases = [([None, (3, 5), None], (15, True, False, True, (3, 5, "strict"))),
+             # the first failing row wins over the first check
+             ([(4, 6), (3, 5), None], (15, False, False, True, (3, 5, "strict"))),
+             # within a row, the first check in _CHECKS order wins
+             ([None, (3, 4), (3, 6)], (15, True, False, False, (3, 4, "strict"))),
+             ([(3, 6), (3, 4), None], (15, False, False, True, (3, 6, "closed_form")))]
+    for cells in (1, 7, TILE_CELLS):
+        monkeypatch.setattr(completeness, "TILE_CELLS", cells)
+        for failures, expected in cases:
+            monkeypatch.setattr(completeness, "_scan_rows", defective(failures))
+            assert _scan_pairs(6) == expected, (cells, failures)
+
+
+def test_tiles_cover_every_row_once_in_order_on_one_workspace(monkeypatch):
+    allocate = completeness._workspace
+    for n in (2, 3, 60, 1000):
+        for cells in (1, 7, n - 1, 997, TILE_CELLS):
+            tiles, workspaces = [], []
+
+            def record(x0, x1, size, work):
+                tiles.append((x0, x1))
+                workspaces.append(work)
+                return [None, None, None]
+
+            def workspace(size, count):
+                workspaces.append(allocate(size, count))
+                return workspaces[-1]
+
+            monkeypatch.setattr(completeness, "TILE_CELLS", cells)
+            monkeypatch.setattr(completeness, "_scan_rows", record)
+            monkeypatch.setattr(completeness, "_workspace", workspace)
+            assert _scan_pairs(n) == (n * (n - 1) // 2, True, True, True, None)
+            bound = max(cells, n - 1)
+            assert [x0 for x0, _ in tiles] == [1] + [x1 for _, x1 in tiles[:-1]]
+            assert tiles[-1][1] == n
+            assert all(x0 < x1 and (x1 - x0) * (n - x0) <= bound for x0, x1 in tiles)
+            # one workspace, allocated before the first tile and reused by all
+            assert all(work is workspaces[0] for work in workspaces)
+            assert len(workspaces) == len(tiles) + 1
+            assert all(len(buffer) == bound for buffer in workspaces[0])
+
+
+def row_reference(x0, x1, n, dtype):
+    """Per check, the first failing (x, y) of rows x0 <= x < x1, one row at
+    a time in numpy of the given dtype, as an unclamped row computes it."""
+    first = [None, None, None]
+    for x in range(x0, x1):
+        y = np.arange(x + 1, n + 1, dtype=dtype)
+        xx = y.dtype.type(x)
+        delta = np.abs(y - xx)
+        xy3 = 3 * xx * y
+        lhs = 2 * (xy3 + delta)
+        rhs = (3 * xx + 2) * y + (3 * y + 2) * xx
+        masks = ((lhs == 2 * (xy3 + y - xx)) & (rhs == 2 * (xy3 + xx + y)),
+                 lhs < rhs, delta > 0)
+        for i, mask in enumerate(masks):
+            if first[i] is None and not mask.all():
+                first[i] = (x, int(y[np.argmin(mask)]))
+    return first
+
+
+def test_a_wrapped_int32_tile_reports_what_its_rows_report(monkeypatch):
+    # past the int32 bound the values wrap, and strict fails first in the
+    # middle of this tile, and its later rows fail strict first at y < n
+    n, x0, x1 = 30_000, 11_925, 11_935
+    monkeypatch.setattr(completeness, "_INT32_SAFE_N", n)
+    expected = row_reference(x0, x1, n, np.int32)
+    assert expected == [None, (11_930, 30_000), None]
+    assert tile(x0, x1, n) == expected
+    assert all(tile(x, x + 1, n) == row_reference(x, x + 1, n, np.int32)
+               for x in range(x0, x1))
+
+
+def test_a_reused_workspace_carries_nothing_from_tile_to_tile(monkeypatch):
+    n = 30_000
+    monkeypatch.setattr(completeness, "_INT32_SAFE_N", n)
+    failing, clean = (11_925, 11_935), (1, 4)
+    alone = {rows: tile(*rows, n) for rows in (failing, clean)}
+    assert alone[clean] == [None, None, None] != alone[failing]
+    work = _workspace(n, (failing[1] - failing[0]) * (n - failing[0]))
+    for rows in (failing, clean, failing, clean):
+        assert _scan_rows(*rows, n, work) == alone[rows], rows
 
 
 def test_cross_check_raises_on_a_wrong_distance(monkeypatch):
