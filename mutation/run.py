@@ -213,6 +213,18 @@ MUTANTS = [
     ("src/kannanlab/completeness.py",
      "(x0 + cell // width,",
      "(x0,", None),
+    ("src/kannanlab/completeness.py",
+     "    return 2 * np.abs(b_img - a_img) < np.abs(a - a_img) + np.abs(b - b_img)",
+     "    return 2 * np.abs(b_img - a_img) <= np.abs(a - a_img) + np.abs(b - b_img)", None),
+    ("src/kannanlab/completeness.py",
+     "    return 2 * np.abs(b_img - a_img) <",
+     "    return np.abs(b_img - a_img) <", None),
+    ("src/kannanlab/completeness.py",
+     "    if big > _LINE_SAFE_NUMERATOR:",
+     "    if big >= _LINE_SAFE_NUMERATOR:", None),
+    ("src/kannanlab/completeness.py",
+     "row(a[i], a_img[i], a[i + 1:], a_img[i + 1:])",
+     "row(a[i], a_img[i], a[i + 2:], a_img[i + 2:])", None),
 ]
 
 # tests/test_mutation_list.py checks the list against the unmutated tree,

@@ -26,12 +26,12 @@ from .rationals import parse_scalar, scalar_text
 from .spaces import (ClosureError, FiniteSpace, HalfLineUsual, MembershipError,
                      SplitSet, UnitIntervalRight, load_space, split_set_sample)
 from .maps import PiecewiseDrop, Scale, StairScale, Truncated, load_map, orbit, orbit_cluster_probe
-from .conditions import (EXHAUSTIVE, StrictKannan, evaluate_condition,
-                         load_condition, sample_pairs)
+from .conditions import EXHAUSTIVE, evaluate_condition, load_condition
 from .picard import orbit_trace_csv, run_picard, uniqueness_probe, verify_fixed_point
-from .completeness import (build_reciprocal_witness, check_gornicki_n,
-                           construct_counterexample_map, scan_fixed_point_free,
-                           verify_counterexample, verify_gornicki_answer)
+from .completeness import (MAX_GORNICKI_N, build_reciprocal_witness,
+                           check_gornicki_n, construct_counterexample_map,
+                           scan_fixed_point_free, verify_counterexample,
+                           verify_gornicki_answer, verify_line_sample)
 from .census import (TheoremContradictionError, enumerate_census, random_finite_space,
                      render_census)
 
@@ -138,7 +138,7 @@ def build_gallery(gornicki_n: int, prefix: int) -> dict:
     split = SplitSet()
     drop = PiecewiseDrop(split)
     sample = split_set_sample(200)
-    report = evaluate_condition(StrictKannan(), split, drop, sample_pairs(sample))
+    report = verify_line_sample(split, drop, sample)
     fixed = uniqueness_probe(split, drop, sample)
     from_two = run_picard(split, drop, Fraction(2), horizon=8)
     check_zero = verify_fixed_point(split, drop, Fraction(0))
@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gallery", help="run every catalog example end to end")
     p.add_argument("--gornicki-n", type=int, default=1000,
-                   help="exhaustive bound for the positive-integer check")
+                   help="exhaustive bound for the positive-integer check, "
+                        f"2..{MAX_GORNICKI_N}")
     p.add_argument("--prefix", type=int, default=200,
                    help="sequence prefix for the counterexample verification")
     p.add_argument("--format", choices=["human", "json"], default="human")

@@ -25,29 +25,39 @@ tail_bound(n') < gap_lower_bound(n)/2 (the construction only needs
 existence; least-index selection makes it deterministic).  Every target
 served is checked to lie deeper than its source, and its leastness is
 checked exactly against the two Fraction bounds on the scan's
-``stated_sample``; either failure raises TheoremContradictionError.  On
-the reciprocal set {1/n}, every pair of a prefix is decided exactly on
-int64 rows of the denominators, with a Fraction cross-check on the
-``stated_sample`` of its pairs.
+``stated_sample``; either failure raises TheoremContradictionError.
 
-The module also hosts the positive-integer gallery check: x -> 3x on the
-1 + |1/x - 1/y| metric is continuous and fixed point free on a complete
-(but non-compact) space, yet strictly Kannan on every distinct pair —
-the two closed forms
+The gallery's three infinite examples are decided on exact integer rows,
+each pair in its own closed form, and every route refuses an input past
+its bound, derived in code from the largest value its rows form, before
+any pair is scanned:
+
+* the reciprocal prefix: every pair of 1/k -> 1/k' on int64 rows of the
+  denominators (``_strict_kannan_row``);
+* a sample of a usual-metric space, the split set's for the gallery's
+  discontinuous drop map: every pair on int64 rows of the points and
+  images scaled by their common denominator (``_strict_kannan_line_row``);
+* the positive-integer check: x -> 3x on the 1 + |1/x - 1/y| metric is
+  continuous and fixed point free on a complete (but non-compact) space,
+  yet strictly Kannan on every distinct pair, the two closed forms
 
     d(Tx,Ty) = 1 + 1/(3x) - 1/(3y)   <   1 + 1/(3x) + 1/(3y)
              = (d(x,Tx) + d(y,Ty)) / 2          (for x < y)
 
-are verified exhaustively in exact integer arithmetic: every pair up to
-n is decided on tiles of rows of numerators over 6xy, written into one
-workspace per scan, in int32 while n is at most ``_INT32_SAFE_N``
-(18,918) and in int64 up to ``_VECTOR_SAFE_N`` (1,239,850,262).  Both
-bounds are derived in code from the largest value a tile forms, and a
-larger n is refused before any pair is scanned.
+  verified on every pair up to n on tiles of rows of numerators over
+  6xy, written into one workspace of ``TILE_CELLS`` cells, in int32 while
+  n is at most ``_INT32_SAFE_N`` (18,918) and in int64 above it, up to
+  ``MAX_GORNICKI_N`` (65,537), the largest n whose rows fit it.
+
+The first two share one row scanner, ``_scan_pair_rows``, and one Fraction
+cross-check, ``_cross_checked``, which decides the ``stated_sample`` of
+their pairs again through :func:`evaluate_condition`; the third has its
+own tiles and cross-check, as it decides three checks a pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -55,9 +65,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conditions import ConditionReport, StrictKannan, evaluate_condition
-from .maps import SelfMap, TripleNat
+from .maps import SelfMap, TripleNat, check_same_space
 from .spaces import (GornickiNat, ReciprocalSet, Space, TheoremContradictionError,
-                     stated_sample)
+                     _UsualMetric, point_text, stated_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +235,8 @@ def _least_index(satisfied: Callable[[int], bool], start: int) -> int:
     """Least n >= start with satisfied(n), for upward-closed predicates.
 
     Gallop-then-bisect finds the index a linear scan would; it derives
-    the fixed-width bounds ``_RECIPROCAL_SAFE_K``, ``_INT32_SAFE_N`` and
-    ``_VECTOR_SAFE_N``.
+    the fixed-width bounds ``_RECIPROCAL_SAFE_K``, ``_LINE_SAFE_NUMERATOR``,
+    ``_INT32_SAFE_N`` and ``_VECTOR_SAFE_N``.
     """
     if satisfied(start):
         return start
@@ -278,14 +288,15 @@ def verify_counterexample(cm: ConstructedMap, prefix: int) -> CounterexampleRepo
     Every term of ``ReciprocalSet`` is 1/k and every image 1/k'; the
     denominators are read once, through ``check_member`` and ``_apply``,
     and all C(prefix, 2) pairs are decided on int64 rows of them
-    (``_strict_kannan_row``).  The rows are exact while no denominator
-    exceeds ``_RECIPROCAL_SAFE_K`` (2^31 - 1, prefix 32,767 for the stock
-    witness); a larger one is refused with ValueError before the first
-    row.  The pairs of ``_cross_check_sample`` are decided again by
-    :func:`evaluate_condition` in Fraction arithmetic, an independent
-    route: a disagreement raises TheoremContradictionError, and the
-    report's violation witness is the Fraction one.  A witness on any
-    other space is refused with ValueError.
+    (``_strict_kannan_row`` in ``_scan_pair_rows``).  The rows are exact
+    while no denominator exceeds ``_RECIPROCAL_SAFE_K`` (2^31 - 1, prefix
+    32,767 for the stock witness); a larger one is refused with
+    ValueError before the first row.  The pairs of ``_cross_check_sample``
+    are decided again by :func:`evaluate_condition` in Fraction
+    arithmetic, an independent route (``_cross_checked``): a disagreement
+    raises TheoremContradictionError, and the report's violation witness
+    is the Fraction one.  A witness on any other space is refused with
+    ValueError.
 
     Also re-verifies that none of those terms is fixed: targets have
     strictly larger indices and terms are distinct.
@@ -309,23 +320,9 @@ def verify_counterexample(cm: ConstructedMap, prefix: int) -> CounterexampleRepo
     if len(set(k)) != prefix:
         raise ValueError("the witness terms of the prefix must be distinct")
     check_reciprocal_denominator(max(k + k_img))
-    checked, stop = _scan_reciprocal_rows(np.array(k, dtype=np.int64),
-                                          np.array(k_img, dtype=np.int64))
-
-    sample = _cross_check_sample(prefix, stop)
-    cross = evaluate_condition(StrictKannan(), w.space, cm,
-                               [(terms[i], terms[j]) for i, j in sample])
-    # the Fraction route must hold on every sampled pair, or fail first
-    # on the last one, which is the rows' first violation
-    if (cross.pairs_checked, cross.holds) != (len(sample), stop is None):
-        raise TheoremContradictionError(
-            f"the int64 rows and the Fraction route disagree on the prefix "
-            f"{prefix}: rows {'hold' if stop is None else f'fail first at {stop}'}, "
-            f"Fraction {'holds' if cross.holds else 'fails'} after "
-            f"{cross.pairs_checked} of {len(sample)} sampled pairs")
-    report = replace(cross, pairs_checked=checked,
-                     pair_source={"kind": "sample", "pairs": prefix * (prefix - 1) // 2,
-                                  "seed": None})
+    checked, stop = _scan_pair_rows(_strict_kannan_row, np.array(k, dtype=np.int64),
+                                    np.array(k_img, dtype=np.int64))
+    report = _cross_checked(w.space, cm, terms, f"the prefix {prefix}", checked, stop)
     fixed_free = all(img != t for t, img in zip(terms, images))
     return CounterexampleReport(prefix=prefix,
                                 condition_report=report,
@@ -357,20 +354,49 @@ def _strict_kannan_row(a, a_img, b, b_img) -> np.ndarray:
             | ((f == c - 1) & (r1 * b + r2 * a > a * b)))
 
 
-def _scan_reciprocal_rows(k, k_img):
-    """Run ``_strict_kannan_row`` over rows i = 0..len(k)-2 against j > i.
+def _scan_pair_rows(row, a, a_img):
+    """Run the row kernel ``row`` over rows i = 0..len(a)-2 against j > i.
 
+    ``row(a[i], a_img[i], a[i+1:], a_img[i+1:])`` says which pairs of
+    row i hold: ``_strict_kannan_row`` on the reciprocal denominators, or
+    ``_strict_kannan_line_row`` on the usual metric's scaled numerators.
     Returns (pairs checked, (i, j) of the first violating pair in pair
     order, or None): the scan stops at that pair, as evaluate_condition does.
     """
     checked = 0
-    for i in range(len(k) - 1):
-        holds = _strict_kannan_row(k[i], k_img[i], k[i + 1:], k_img[i + 1:])
+    for i in range(len(a) - 1):
+        holds = row(a[i], a_img[i], a[i + 1:], a_img[i + 1:])
         if not holds.all():
             j = i + 1 + int(np.argmin(holds))
             return checked + j - i, (i, j)
         checked += holds.size
     return checked, None
+
+
+def _cross_checked(space: Space, m: SelfMap, points: list, subject: str,
+                   checked: int, stop) -> ConditionReport:
+    """The rows' report on every pair of ``points``, cross-checked.
+
+    The pairs of ``_cross_check_sample`` are decided again by
+    :func:`evaluate_condition` in Fraction arithmetic, which must hold on
+    every one of them, or fail first on the last, the rows' first
+    violation ``stop``; a disagreement raises TheoremContradictionError.
+    The report is the Fraction one, violation witness included, with the
+    rows' pair count and the whole pair set as its pair source.
+    """
+    n = len(points)
+    sample = _cross_check_sample(n, stop)
+    cross = evaluate_condition(StrictKannan(), space, m,
+                               [(points[i], points[j]) for i, j in sample])
+    if (cross.pairs_checked, cross.holds) != (len(sample), stop is None):
+        raise TheoremContradictionError(
+            f"the int64 rows and the Fraction route disagree on {subject}: "
+            f"rows {'hold' if stop is None else f'fail first at {stop}'}, "
+            f"Fraction {'holds' if cross.holds else 'fails'} after "
+            f"{cross.pairs_checked} of {len(sample)} sampled pairs")
+    return replace(cross, pairs_checked=checked,
+                   pair_source={"kind": "sample", "pairs": n * (n - 1) // 2,
+                                "seed": None})
 
 
 def _reciprocal_intermediate_bound(k_max: int) -> int:
@@ -412,6 +438,67 @@ def _cross_check_sample(prefix: int, stop=None) -> list[tuple[int, int]]:
     if stop is not None:
         sample = [pair for pair in sample if pair < stop] + [stop]
     return sample
+
+
+# ---------------------------------------------------------------------------
+# Samples of a usual-metric space (exhaustive over the sample, exact)
+# ---------------------------------------------------------------------------
+
+def verify_line_sample(space: Space, m: SelfMap, points) -> ConditionReport:
+    """The report ``evaluate_condition(StrictKannan(), space, m,
+    sample_pairs(points))`` gives, decided on int64 rows.
+
+    Each point and each image is read once.  Scaled by L, the least common
+    multiple of their denominators, they are integers P and Q, the rows'
+    input (``_strict_kannan_line_row``).  A space without the usual metric,
+    a repeated point and a numerator past ``_LINE_SAFE_NUMERATOR``
+    (2^61 - 1) are refused with ValueError before the first row.
+    ``_cross_checked`` decides the stated sample again in Fraction
+    arithmetic.
+    """
+    if not isinstance(space, _UsualMetric):
+        raise ValueError(f"the line rows need a usual-metric space, not {space.kind}")
+    check_same_space(space, m)
+    pts = [space.check_member(p) for p in points]
+    if len(set(pts)) != len(pts):
+        p = next(p for i, p in enumerate(pts) if p in pts[:i])
+        raise ValueError(f"pair points must be distinct, got "
+                         f"({point_text(p)}, {point_text(p)})")
+    images = [m._apply(p) for p in pts]
+    scale = math.lcm(*(v.denominator for v in pts + images))
+    P = [v.numerator * (scale // v.denominator) for v in pts]
+    Q = [v.numerator * (scale // v.denominator) for v in images]
+    big = max(map(abs, P + Q), default=0)
+    if big > _LINE_SAFE_NUMERATOR:
+        raise ValueError(f"the sample reaches the numerator {big} over its common "
+                         f"denominator, past {_LINE_SAFE_NUMERATOR}, the largest the "
+                         "int64 rows decide exactly")
+    checked, stop = _scan_pair_rows(_strict_kannan_line_row, np.array(P, dtype=np.int64),
+                                    np.array(Q, dtype=np.int64))
+    return _cross_checked(space, m, pts, f"a sample of {len(pts)} points", checked, stop)
+
+
+def _strict_kannan_line_row(a, a_img, b, b_img) -> np.ndarray:
+    """Which pairs (a/L, b/L) of a row hold the strict Kannan inequality
+    under the usual metric, where the map sends a/L to a'/L and b/L to b'/L.
+
+    Multiplied by 2L > 0, 2|a'/L - b'/L| < |a/L - a'/L| + |b/L - b'/L|
+    reads 2|a' - b'| < |a - a'| + |b - b'|, exact while no value
+    overflows; see ``_line_intermediate_bound``.
+    """
+    return 2 * np.abs(b_img - a_img) < np.abs(a - a_img) + np.abs(b - b_img)
+
+
+def _line_intermediate_bound(big: int) -> int:
+    """An upper bound on every value ``_strict_kannan_line_row`` forms,
+    exactly, when no numerator's magnitude passes big: each difference is
+    at most 2 big, and its double or a sum of two at most 4 big."""
+    return 4 * big
+
+
+# The largest numerator magnitude the int64 line rows decide exactly: 2^61 - 1.
+_LINE_SAFE_NUMERATOR = _least_index(
+    lambda big: _line_intermediate_bound(big) > np.iinfo(np.int64).max, start=1) - 1
 
 
 # The largest --scan count: about 1.5 us per term in flat memory (31 MB
@@ -498,11 +585,12 @@ def verify_gornicki_answer(n: int) -> GornickiAnswerReport:
     and that no x <= n is fixed by T.  The scan runs on tiles of rows of
     integers with no gcd: every quantity is a numerator over the common
     denominator 6xy.  The tiles are int32 for n up to ``_INT32_SAFE_N``
-    (18,918) and int64 above it, exact for n up to ``_VECTOR_SAFE_N``
-    (about 1.24e9); a larger n is refused with ValueError before any pair
-    is scanned.  The three checks run on every pair in both dtypes.  A
-    deterministic subsample is cross-checked against the Fraction-based
-    space metric, pair by pair (``_cross_check_fraction``).
+    (18,918) and int64 above it.  An n past ``MAX_GORNICKI_N`` (65,537),
+    whose longest row fills the workspace of ``TILE_CELLS`` cells, is
+    refused with ValueError before any pair is scanned.  The three checks
+    run on every pair in both dtypes.  A deterministic subsample is
+    cross-checked against the Fraction-based space metric, pair by pair
+    (``_cross_check_fraction``).
     """
     check_gornicki_n(n)
     pairs_checked, forms_ok, strict_ok, dist_ok, first_violation = _scan_pairs(n)
@@ -521,38 +609,41 @@ def verify_gornicki_answer(n: int) -> GornickiAnswerReport:
 
 
 def check_gornicki_n(n: int) -> None:
-    """Refuse a scan size outside 2..``_VECTOR_SAFE_N`` before any work."""
+    """Refuse a scan size outside 2..``MAX_GORNICKI_N`` before any work."""
     if n < 2:
         raise ValueError("need n >= 2 for at least one pair")
-    if n > _VECTOR_SAFE_N:
-        raise ValueError(f"n = {n} exceeds {_VECTOR_SAFE_N}, "
-                         "the largest n the int64 scan decides exactly")
+    if n > MAX_GORNICKI_N:
+        raise ValueError(f"n = {n} exceeds {MAX_GORNICKI_N}, the largest n "
+                         "whose rows fit one workspace and are decided exactly")
 
 
 _CHECKS = ("closed_form", "strict", "distance")
 
-# The most cells a tile of rows holds; a single row may hold more.  Each
-# tile costs about 25 numpy calls however many rows it holds.  At n = 10^4
-# a scan took 0.22-0.25 s with tiles of 2^16 cells, 0.24-0.29 s with 2^15
-# and 0.25-0.30 s with 2^17 (2-core Xeon, numpy 2.4, 3 runs each).
+# The most cells a tile of rows holds, and so the cells of the workspace;
+# ``MAX_GORNICKI_N`` keeps every row within it.  Each tile costs about 25
+# numpy calls however many rows it holds.  At n = 10^4 a scan took
+# 0.22-0.25 s with tiles of 2^16 cells, 0.24-0.29 s with 2^15 and
+# 0.25-0.30 s with 2^17 (2-core Xeon, numpy 2.4, 3 runs each).
 TILE_CELLS = 1 << 16
 
 
 def _scan_pairs(n: int):
     """Run ``_scan_rows`` over tiles of x = 1..n-1 and merge its findings.
 
-    A tile takes as many rows as fit in ``TILE_CELLS`` cells, at least
-    one, and every tile reuses one workspace.  Returns (pairs, forms_ok,
+    A tile takes as many rows as fit in ``TILE_CELLS`` cells, and every
+    tile reuses one workspace of that many cells.  The longest row, n - 1
+    cells, fits it for every n that ``check_gornicki_n`` admits, so a
+    tile holds at least one row.  Returns (pairs, forms_ok,
     strict_ok, dist_ok, first_violation), where first_violation is
     (x, y, check) for the first failing row, its first failing check in
     ``_CHECKS`` order, and that check's first failing y.
     """
-    work = _workspace(n, max(TILE_CELLS, n - 1))
+    work = _workspace(n, TILE_CELLS)
     failed = set()
     first_violation = None
     x0 = 1
     while x0 < n:
-        x1 = min(n, x0 + max(1, TILE_CELLS // (n - x0)))
+        x1 = min(n, x0 + TILE_CELLS // (n - x0))
         found = [(first[0], i, first[1])
                  for i, first in enumerate(_scan_rows(x0, x1, n, work)) if first]
         failed.update(_CHECKS[i] for _, i, _ in found)
@@ -650,9 +741,14 @@ _INT32_SAFE_N = _least_index(
     lambda n: _largest_intermediate(n) > np.iinfo(np.int32).max, start=2) - 1
 
 # The largest n whose int64 scan is exact: 1,239,850,262.  Beyond it the
-# largest intermediate passes 2^63 - 1, and check_gornicki_n refuses.
+# largest intermediate passes 2^63 - 1.
 _VECTOR_SAFE_N = _least_index(
     lambda n: _largest_intermediate(n) > np.iinfo(np.int64).max, start=2) - 1
+
+# The largest n check_gornicki_n admits: 65,537, whose first row fills the
+# workspace of TILE_CELLS cells, which the scan then allocates at every n.
+# Its pairs are exact in int64, and the scan takes about 20 s there.
+MAX_GORNICKI_N = min(TILE_CELLS + 1, _VECTOR_SAFE_N)
 
 
 def _cross_check_fraction(n: int) -> int:

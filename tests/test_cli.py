@@ -164,7 +164,7 @@ def test_counterexample_scan_below_one_is_config_error():
 
 def test_gallery_sizes_are_refused_before_any_section(monkeypatch):
     from kannanlab import cli
-    from kannanlab.completeness import _VECTOR_SAFE_N
+    from kannanlab.completeness import _VECTOR_SAFE_N, MAX_GORNICKI_N
 
     def no_work(*args, **kwargs):
         pytest.fail("a gallery section ran before the sizes were checked")
@@ -172,6 +172,7 @@ def test_gallery_sizes_are_refused_before_any_section(monkeypatch):
     monkeypatch.setattr(cli, "verify_gornicki_answer", no_work)
     for gornicki_n, prefix, message in ((10_000, 0, "prefix must be >= 1"),
                                         (1, 200, "n >= 2"),
+                                        (MAX_GORNICKI_N + 1, 200, "exceeds"),
                                         (_VECTOR_SAFE_N + 1, 200, "exceeds")):
         with pytest.raises(ValueError, match=message):
             cli.build_gallery(gornicki_n, prefix)

@@ -9,10 +9,10 @@ import pytest
 
 from kannanlab import completeness
 from kannanlab.cli import main
-from kannanlab.completeness import (_INT32_SAFE_N, _VECTOR_SAFE_N, TILE_CELLS,
-                                    _largest_intermediate, _scan_pairs, _scan_rows,
-                                    _workspace,
-                                    build_reciprocal_witness,
+from kannanlab.completeness import (_INT32_SAFE_N, _VECTOR_SAFE_N, MAX_GORNICKI_N,
+                                    TILE_CELLS, _largest_intermediate, _scan_pairs,
+                                    _scan_rows, _workspace, build_reciprocal_witness,
+                                    check_gornicki_n,
                                     construct_counterexample_map,
                                     scan_fixed_point_free, spot_check_witness,
                                     verify_counterexample,
@@ -168,7 +168,9 @@ def test_gornicki_answer_rows_and_fraction_scans_agree(monkeypatch):
         patch.setattr(completeness, "_scan_rows",
                       lambda x0, x1, n, work: fraction_rows(x0, x1, n))
         assert _scan_pairs(60) == expected
-    for cells in (1, 7, 59):
+    # a workspace holds one row at least: 59 cells, and one row a tile
+    # until the rows are half as long
+    for cells in (59, 66, 177):
         monkeypatch.setattr(completeness, "TILE_CELLS", cells)
         assert _scan_pairs(60) == expected
 
@@ -221,17 +223,23 @@ def test_int64_last_row_is_exact_at_the_bound():
 
 
 def test_past_the_bound_is_refused_without_scanning(monkeypatch, capsys):
-    # past the bound int64 wraps around silently (lhs < rhs still reads
+    # past the cap a row would not fit the workspace, and past
+    # _VECTOR_SAFE_N int64 wraps around silently (lhs < rhs still reads
     # true), so the size is refused before any row runs
     def no_scan(*args):
         pytest.fail("a workspace was allocated or a tile scanned past the bound")
     monkeypatch.setattr(completeness, "_workspace", no_scan)
     monkeypatch.setattr(completeness, "_scan_rows", no_scan)
-    with pytest.raises(ValueError, match="exceeds"):
-        verify_gornicki_answer(_VECTOR_SAFE_N + 1)
-    assert main(["gallery", "--gornicki-n", str(_VECTOR_SAFE_N + 1)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "exceeds" in err
+    assert MAX_GORNICKI_N == TILE_CELLS + 1 == 65_537 < _VECTOR_SAFE_N
+    check_gornicki_n(MAX_GORNICKI_N)
+    for n in (MAX_GORNICKI_N + 1, _VECTOR_SAFE_N + 1):
+        with pytest.raises(ValueError, match=f"n = {n} exceeds 65537"):
+            check_gornicki_n(n)
+        with pytest.raises(ValueError, match="exceeds"):
+            verify_gornicki_answer(n)
+        assert main(["gallery", "--gornicki-n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeds 65537" in err
 
 
 def test_scan_reports_the_first_violation_of_a_row_body(monkeypatch):
@@ -247,7 +255,7 @@ def test_scan_reports_the_first_violation_of_a_row_body(monkeypatch):
              # within a row, the first check in _CHECKS order wins
              ([None, (3, 4), (3, 6)], (15, True, False, False, (3, 4, "strict"))),
              ([(3, 6), (3, 4), None], (15, False, False, True, (3, 6, "closed_form")))]
-    for cells in (1, 7, TILE_CELLS):
+    for cells in (5, 7, TILE_CELLS):
         monkeypatch.setattr(completeness, "TILE_CELLS", cells)
         for failures, expected in cases:
             monkeypatch.setattr(completeness, "_scan_rows", defective(failures))
@@ -256,8 +264,10 @@ def test_scan_reports_the_first_violation_of_a_row_body(monkeypatch):
 
 def test_tiles_cover_every_row_once_in_order_on_one_workspace(monkeypatch):
     allocate = completeness._workspace
-    for n in (2, 3, 60, 1000):
-        for cells in (1, 7, n - 1, 997, TILE_CELLS):
+    # at the cap the tiles are recorded, not scanned: a scan takes about 20 s,
+    # and its first row fills the default workspace
+    for n in (2, 3, 60, 1000, MAX_GORNICKI_N):
+        for cells in (n - 1, n + 6, 3 * n, TILE_CELLS):
             tiles, workspaces = [], []
 
             def record(x0, x1, size, work):
@@ -273,14 +283,13 @@ def test_tiles_cover_every_row_once_in_order_on_one_workspace(monkeypatch):
             monkeypatch.setattr(completeness, "_scan_rows", record)
             monkeypatch.setattr(completeness, "_workspace", workspace)
             assert _scan_pairs(n) == (n * (n - 1) // 2, True, True, True, None)
-            bound = max(cells, n - 1)
             assert [x0 for x0, _ in tiles] == [1] + [x1 for _, x1 in tiles[:-1]]
             assert tiles[-1][1] == n
-            assert all(x0 < x1 and (x1 - x0) * (n - x0) <= bound for x0, x1 in tiles)
+            assert all(x0 < x1 and (x1 - x0) * (n - x0) <= cells for x0, x1 in tiles)
             # one workspace, allocated before the first tile and reused by all
             assert all(work is workspaces[0] for work in workspaces)
             assert len(workspaces) == len(tiles) + 1
-            assert all(len(buffer) == bound for buffer in workspaces[0])
+            assert all(len(buffer) == cells for buffer in workspaces[0])
 
 
 def row_reference(x0, x1, n, dtype):
